@@ -42,10 +42,16 @@ def _json(obj):
 
 def _parse_limit(text):
     try:
-        v = int(float(text))
-    except ValueError:
+        return int(float(text))
+    except (ValueError, OverflowError):
         raise DomainError("bad limit %r" % text)
-    return v
+
+
+def _parse_ints(text, what):
+    try:
+        return [int(f) for f in text.split(",")]
+    except ValueError:
+        raise DomainError("bad %s %r" % (what, text))
 
 
 def _parse_checkpoints(text, limit):
@@ -56,41 +62,59 @@ def _parse_checkpoints(text, limit):
             cols = presets.checkpoints(text, limit)
         except KeyError as exc:
             raise DomainError(str(exc))
-        if not cols:
-            raise DomainError("preset %s has no columns <= %d" % (text, limit))
-        return cols
-    if text.startswith("geometric:"):
+    elif text.startswith("geometric:"):
+        bad = DomainError("geometric spec is geometric:lo:hi:n with "
+                          "finite lo, hi > 0 and n >= 1")
         try:
             lo, hi, n = text.split(":")[1:]
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
-            raise DomainError("geometric spec is geometric:lo:hi:n")
-        xs = sorted({int(round(v)) for v in
-                     np.exp(np.linspace(math.log(lo), math.log(hi), n))})
-        return [x for x in xs if x <= limit]
-    try:
-        return [int(float(f)) for f in text.split(",")]
-    except ValueError:
-        raise DomainError("bad checkpoint list %r" % text)
+            raise bad
+        if not (0 < lo < math.inf and 0 < hi < math.inf and n >= 1):
+            raise bad
+        cols = sorted({int(round(v)) for v in
+                       np.exp(np.linspace(math.log(lo), math.log(hi), n))})
+        cols = [x for x in cols if x <= limit]
+    else:
+        try:
+            cols = [int(float(f)) for f in text.split(",")]
+        except (ValueError, OverflowError):
+            raise DomainError("bad checkpoint list %r" % text)
+    if not cols:
+        raise DomainError("checkpoints %s have no values <= %d"
+                          % (text, limit))
+    return cols
 
 
 def _parse_teams(text, q):
     if text == "squares:nonsquares":
         s, n = races.squares_mod(q)
         return [races.TeamSpec("S", s), races.TeamSpec("N", n)]
-    teams = []
-    for part in text.split(":"):
-        residues = [int(r) for r in part.split(",")]
-        teams.append(races.TeamSpec(part, residues))
-    return teams
+    return [races.TeamSpec(part, _parse_ints(part, "team"))
+            for part in text.split(":")]
 
 
 def _parse_range(text):
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise DomainError("range spec is lo:hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("range ends must be finite")
+    return lo, hi
+
+
+def _parse_samples(text):
+    bad = DomainError("samples spec is arith:start:step:count with "
+                      "count >= 1, got %r" % text)
+    try:
+        kind, start, step, count = text.split(":")
+        start, step, count = int(start), int(step), int(count)
+    except ValueError:
+        raise bad
+    if kind != "arith" or count < 1:
+        raise bad
+    return [start + step * i for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +122,9 @@ def _parse_range(text):
 def cmd_pi(args):
     limit = _parse_limit(args.limit)
     cks = _parse_checkpoints(args.checkpoints, limit)
+    rows = sieve.count_in_progressions(limit, args.modulus or 1, cks,
+                                       allow_long=args.allow_long)
     if args.modulus:
-        rows = sieve.count_in_progressions(limit, args.modulus, cks,
-                                           allow_long=args.allow_long,
-                                           workers=args.workers)
         if args.checkpoint_file:
             sieve.checkpoint_save(rows, args.checkpoint_file)
         if args.format == "json":
@@ -110,18 +133,9 @@ def cmd_pi(args):
                                        for a, c in sorted(rc.counts.items())}}
                 for rc in rows]}))
         else:
-            buf = io.StringIO()
-            buf.write("# modulus=%d\n" % args.modulus)
-            for rc in rows:
-                cols = ",".join("%d:%d" % (a, rc.counts[a])
-                                for a in sorted(rc.counts))
-                buf.write("%d,%s\n" % (rc.x, cols))
-            _emit(args, buf.getvalue())
+            _emit(args, sieve.format_checkpoints(rows))
         return 0
-    counts = sieve.count_in_progressions(limit, 1, cks,
-                                         allow_long=args.allow_long,
-                                         workers=args.workers)
-    rows = [(rc.x, rc.counts[0]) for rc in counts]
+    rows = [(rc.x, rc.counts[0]) for rc in rows]
     if args.format == "json":
         _emit(args, _json({"rows": [{"x": x, "pi": c} for x, c in rows]}))
     else:
@@ -137,13 +151,11 @@ def cmd_race(args):
         raise DomainError("dense mode emits --events or --density artifacts")
     if dense:
         ledger = races.run_dense_race(limit, args.modulus, teams,
-                                      allow_long=args.allow_long,
-                                      workers=args.workers)
+                                      allow_long=args.allow_long)
     else:
         cks = _parse_checkpoints(args.checkpoints, limit)
         counts = sieve.count_in_progressions(limit, args.modulus, cks,
-                                             allow_long=args.allow_long,
-                                             workers=args.workers)
+                                             allow_long=args.allow_long)
         ledger = races.run_race(counts, teams)
 
     payload = {}
@@ -201,11 +213,7 @@ def cmd_zeros(args):
                            "ordinates": [round(float(g), 9)
                                          for g in table.ordinates]}))
         return 0
-    buf = io.StringIO()
-    buf.write("# lfunction=%s\n" % table.id)
-    for g in table.ordinates:
-        buf.write("%.9f\n" % g)
-    _emit(args, buf.getvalue())
+    _emit(args, lf.format_zero_table(table))
     return 0
 
 
@@ -215,11 +223,10 @@ def cmd_explicit(args):
     table = lf.parse_zero_table(args.zeros)
     lo, hi = _parse_range(args.range)
     grid = waves.log_grid(lo, hi, args.points)
-    truncations = [int(t) for t in args.truncations.split(",")]
+    truncations = _parse_ints(args.truncations, "truncation list")
 
     limit = int(hi)
-    primes = sieve.primes_up_to(limit, allow_long=args.allow_long,
-                                workers=args.workers)
+    primes = sieve.primes_up_to(limit, allow_long=args.allow_long)
     pi_at = np.searchsorted(primes, np.floor(grid), side="right")
     if args.target == "pi-li":
         li_vals = np.array([lf.li(float(x)) for x in grid])
@@ -268,7 +275,7 @@ def cmd_explicit(args):
 
 def cmd_twins(args):
     limit = _parse_limit(args.limit)
-    gaps = [int(g) for g in args.gaps.split(",")]
+    gaps = _parse_ints(args.gaps, "gap list")
     if args.race:
         ledger, events = pairs.pair_race(gaps, limit, dense=True,
                                          allow_long=args.allow_long,
@@ -298,16 +305,13 @@ def cmd_twins(args):
 
 
 def cmd_histogram(args):
-    spec = args.samples.split(":")
-    if spec[0] != "arith" or len(spec) != 4:
-        raise DomainError("samples spec is arith:start:step:count")
-    start, step, count = (int(v) for v in spec[1:])
-    xs = [start + step * i for i in range(count)]
-    limit = xs[-1]
-    rows = sieve.count_in_progressions(limit, args.modulus, xs,
-                                       allow_long=args.allow_long,
-                                       workers=args.workers)
+    xs = _parse_samples(args.samples)
     a, b = args.residues
+    if not {a, b} <= set(sieve.coprime_residues(args.modulus)):
+        raise DomainError("residues %d, %d must be classes coprime to %d"
+                          % (a, b, args.modulus))
+    rows = sieve.count_in_progressions(xs[-1], args.modulus, xs,
+                                       allow_long=args.allow_long)
     samples = [races.shanks_ratio(rc.x, rc.counts[a], rc.counts[b])
                for rc in rows]
     lo, hi = _parse_range(args.range)
@@ -348,8 +352,7 @@ def cmd_walk(args):
 def cmd_psi(args):
     limit = _parse_limit(args.limit)
     xs = [x for x in presets.TABLE_COLUMNS["psi"] if x <= limit] or [limit]
-    primes = sieve.primes_up_to(xs[-1], allow_long=args.allow_long,
-                                workers=args.workers)
+    primes = sieve.primes_up_to(xs[-1], allow_long=args.allow_long)
     rows = []
     for x in xs:
         v = lf.chebyshev_psi(x, primes)
@@ -399,9 +402,6 @@ def build_parser():
                         "relative paths resolve under $PRIME_RACES_CACHE")
         sp.add_argument("--allow-long", action="store_true",
                         help="opt in to limits above 10^9")
-        sp.add_argument("--workers", type=int,
-                        default=os.cpu_count() or 1,
-                        help="sieve worker threads")
         sp.add_argument("-v", "--verbose", action="store_true")
 
     sp = sub.add_parser("pi", help="prime counts, optionally per residue")

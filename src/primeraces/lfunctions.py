@@ -39,7 +39,8 @@ class LFunctionId:
         if self.kind not in ("zeta", "beta4", "quadratic"):
             raise DomainError("unknown L-function kind %r" % self.kind)
         if self.kind == "quadratic":
-            if self.q is None or self.q % 2 == 0 or not _is_prime(self.q):
+            q = self.q
+            if q is None or q % 2 == 0 or not sieve.is_prime(q):
                 raise DomainError("quadratic character needs an odd prime q")
         elif self.q is not None:
             raise DomainError("%s takes no modulus" % self.kind)
@@ -54,12 +55,6 @@ BETA4 = LFunctionId("beta4")
 
 def quadratic(q):
     return LFunctionId("quadratic", q)
-
-
-def _is_prime(q):
-    if q < 2:
-        return False
-    return all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
 @dataclass(frozen=True)
@@ -371,6 +366,8 @@ def find_zeros(lid, t_max, cfg=None):
     certified by a sign change of the rotated real function and refined
     by bisection to cfg.precision."""
     cfg = cfg or ZeroSearchConfig()
+    if not math.isfinite(t_max):
+        raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
         raise CapacityError("t_max %g above the desk-scale cap %g"
                             % (t_max, T_MAX_CAP))
@@ -412,11 +409,16 @@ def find_zeros(lid, t_max, cfg=None):
 # ---------------------------------------------------------------------------
 # zero-table files: `# lfunction=<id>` header, one ascending ordinate per line
 
+def format_zero_table(table):
+    """Zero-table file text: the header, then 9-decimal ordinates."""
+    return "# lfunction=%s\n" % table.id + "".join(
+        "%.9f\n" % g for g in table.ordinates)
+
+
 def write_zero_table(table, path):
+    text = format_zero_table(table)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# lfunction=%s\n" % table.id)
-        for g in table.ordinates:
-            fh.write("%.9f\n" % g)
+        fh.write(text)
 
 
 def _parse_lid(text):

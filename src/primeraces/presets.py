@@ -22,11 +22,6 @@ TABLE_COLUMNS = {
     "psi": [100, 1000, 10000, 100000, 1000000],
 }
 
-TABLE_MODULUS = {"table1": 4, "table2": 3, "table3": 10, "table4": 10,
-                 "table7": 8}
-TABLE_GAPS = {"table8": (2, 4, 8, 16), "table9": (2, 4, 6, 8, 10),
-              "table10": (2, 4, 6, 8, 10)}
-
 
 def checkpoints(name, limit=None):
     """x column for a named preset ('paper:tableN' or 'tableN'), clipped

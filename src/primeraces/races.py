@@ -130,10 +130,10 @@ def run_race(counts, teams):
     return RaceLedger(q, list(teams), xs, mat, dense=False, limit=int(xs[-1]))
 
 
-def run_dense_race(limit, q, teams, plan=None, allow_long=False, workers=1):
+def run_dense_race(limit, q, teams, plan=None, allow_long=False):
     """Ledger sampled at every prime <= limit (the dense mode)."""
     _validate_teams(q, teams)
-    primes = sieve.primes_up_to(limit, plan, allow_long, workers)
+    primes = sieve.primes_up_to(limit, plan, allow_long)
     res = primes % q
     mat = np.zeros((len(teams), len(primes)), dtype=np.int64)
     for i, t in enumerate(teams):
@@ -324,18 +324,9 @@ def strictly_ahead(team_index, others=None):
     return cond
 
 
-def is_prime(q):
-    if q < 2:
-        return False
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            return False
-    return True
-
-
 def squares_mod(q):
     """Nonzero quadratic residues and nonresidues of an odd prime modulus."""
-    if q % 2 == 0 or not is_prime(q):
+    if q % 2 == 0 or not sieve.is_prime(q):
         raise DomainError("squares/nonsquares split needs an odd prime modulus")
     s = sorted({pow(b, 2, q) for b in range(1, q)})
     n = sorted(set(range(1, q)) - set(s))
@@ -379,8 +370,9 @@ def simulate_tie_walk(config):
         if config.steps == 0:
             out.append(WalkTrial(False, None))
             continue
-        choices = (splitmix64(_trial_seed(config.seed, trial), 0,
-                              config.steps) % np.uint64(k)).astype(np.int8)
+        choices = splitmix64(_trial_seed(config.seed, trial), 0,
+                             config.steps) % np.uint64(k)
+        choices = choices.astype(np.min_scalar_type(k - 1))
         at_origin = np.ones(config.steps, dtype=bool)
         for d in range(dim):
             delta = (choices == d).astype(np.int32) - (choices == d + 1)

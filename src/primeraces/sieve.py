@@ -2,13 +2,11 @@
 
 Everything here works on odd numbers only: a segment is a numpy boolean
 array where entry ``i`` stands for the odd number ``lo + 2*i``.  The prime
-2 is handled out of band.  Segments are independent work units; per-segment
-tallies merge by simple addition in ascending ``x`` order, which is what
-the optional thread pool relies on.
+2 is handled out of band.  Segments are sieved one after another in
+ascending ``x`` order, and per-segment tallies merge by simple addition.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +26,10 @@ class SegmentPlan:
     """Shape of one sieve pass.
 
     ``segment_size`` is the bytes-equivalent span: one pass covers
-    ``8 * segment_size`` odd numbers.  ``base_primes_limit`` is
-    ``floor(sqrt(limit))`` for the run the plan was made for.
+    ``8 * segment_size`` odd numbers.
     """
 
     segment_size: int = DEFAULT_SEGMENT_BYTES
-    base_primes_limit: int = 0
 
     def __post_init__(self):
         if self.segment_size < 2:
@@ -42,11 +38,6 @@ class SegmentPlan:
     @property
     def entries(self):
         return 8 * self.segment_size
-
-    @classmethod
-    def for_limit(cls, limit, segment_size=DEFAULT_SEGMENT_BYTES):
-        return cls(segment_size=segment_size,
-                   base_primes_limit=math.isqrt(limit))
 
 
 @dataclass
@@ -72,6 +63,28 @@ def check_limit(limit, allow_long=False, extra=0):
         raise CapacityError(
             "limit %d is a long-running request; pass allow_long=True" % limit)
     return limit
+
+
+def _check_gap(gap):
+    gap = int(gap)
+    if gap < 2 or gap % 2 != 0:
+        raise DomainError("pair gap must be a positive even integer")
+    return gap
+
+
+def _check_checkpoints(checkpoints, limit):
+    checkpoints = [int(x) for x in checkpoints]
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise DomainError("checkpoints must be strictly ascending")
+    if checkpoints and checkpoints[-1] > limit:
+        raise DomainError("checkpoint %d above limit %d"
+                          % (checkpoints[-1], limit))
+    return checkpoints
+
+
+def is_prime(n):
+    """Trial division, for the small moduli that name teams and characters."""
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def small_primes(n):
@@ -103,85 +116,49 @@ def _mark_segment(lo, n, odd_base):
     return seg
 
 
-def _segment_starts(limit, plan):
-    span = 2 * plan.entries
-    return range(3, limit + 1, span)
+def _segments(limit, plan=None, gap=0):
+    """Yield (lo, n, mask) over the odd numbers lo, lo+2, ..., lo+2(n-1) <=
+    limit, ascending.  mask[i] marks lo+2i prime or, with an even ``gap``,
+    lo+2i and lo+2i+gap both prime: each window is then sieved ``gap`` past
+    its own end so the partner lookup never crosses an unsieved boundary."""
+    span = 2 * (plan or SegmentPlan()).entries
+    k = gap // 2
+    odd_base = small_primes(math.isqrt(limit + gap))[1:]
+    for lo in range(3, limit + 1, span):
+        n = (min(lo + span - 2, limit) - lo) // 2 + 1
+        seg = _mark_segment(lo, n + k, odd_base)
+        yield lo, n, seg[:n] & seg[k:k + n] if k else seg
 
 
-def _segments(limit, plan=None, workers=1):
-    """Yield (lo, n, mask) for odd numbers lo..lo+2(n-1), ascending."""
-    if plan is None:
-        plan = SegmentPlan.for_limit(limit)
-    base = small_primes(math.isqrt(limit))
-    odd_base = base[1:] if len(base) and base[0] == 2 else base
-    span = 2 * plan.entries
-
-    def job(lo):
-        hi = min(lo + span - 2, limit)
-        if hi % 2 == 0:
-            hi -= 1
-        n = (hi - lo) // 2 + 1
-        return lo, n, _mark_segment(lo, n, odd_base)
-
-    starts = _segment_starts(limit, plan)
-    if workers <= 1:
-        for lo in starts:
-            yield job(lo)
-        return
-    # bounded look-ahead so huge runs do not buffer every segment
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        it = iter(starts)
-        for lo in it:
-            pending.append(pool.submit(job, lo))
-            if len(pending) > 2 * workers:
-                yield pending.pop(0).result()
-        for fut in pending:
-            yield fut.result()
-
-
-def iter_prime_blocks(limit, plan=None, allow_long=False, workers=1):
+def iter_prime_blocks(limit, plan=None, allow_long=False):
     """Yield ascending numpy arrays of primes covering 2..limit."""
     limit = check_limit(limit, allow_long)
-    first = True
-    for lo, n, seg in _segments(limit, plan, workers):
-        vals = lo + 2 * np.flatnonzero(seg).astype(np.int64)
-        if first:
-            vals = np.concatenate(([2], vals)) if limit >= 2 else vals
-            first = False
-        if len(vals):
-            yield vals
-    if first and limit >= 2:
-        yield np.array([2], dtype=np.int64)
+    yield np.array([2], dtype=np.int64)
+    for lo, _, seg in _segments(limit, plan):
+        yield lo + 2 * np.flatnonzero(seg).astype(np.int64)
 
 
-def primes_up_to(limit, plan=None, allow_long=False, workers=1):
+def primes_up_to(limit, plan=None, allow_long=False):
     """All primes <= limit as one array (materialized; desk scale only)."""
-    blocks = list(iter_prime_blocks(limit, plan, allow_long, workers))
-    if not blocks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(blocks)
+    return np.concatenate(list(iter_prime_blocks(limit, plan, allow_long)))
 
 
-def count_primes(limit, plan=None, allow_long=False, workers=1):
+def count_primes(limit, plan=None, allow_long=False):
     """pi(limit) without materializing the primes."""
     limit = check_limit(limit, allow_long)
-    total = 1  # the prime 2
-    for _, _, seg in _segments(limit, plan, workers):
-        total += int(np.count_nonzero(seg))
-    return total
+    return 1 + sum(int(np.count_nonzero(seg))
+                   for _, _, seg in _segments(limit, plan))
 
 
-def enumerate_primes(limit, plan=None, visitor=None, allow_long=False,
-                     workers=1):
+def enumerate_primes(limit, plan=None, visitor=None, allow_long=False):
     """Invoke ``visitor`` once per prime <= limit, ascending; return pi(limit).
 
     With ``visitor=None`` this is just ``count_primes``.
     """
     if visitor is None:
-        return count_primes(limit, plan, allow_long, workers)
+        return count_primes(limit, plan, allow_long)
     total = 0
-    for block in iter_prime_blocks(limit, plan, allow_long, workers):
+    for block in iter_prime_blocks(limit, plan, allow_long):
         for p in block:
             visitor(int(p))
         total += len(block)
@@ -203,8 +180,38 @@ def coprime_residues(q):
     return [a for a in range(q) if math.gcd(a, q) == 1] or [0]
 
 
-def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False,
-                          workers=1):
+def _tally(segments, q, checkpoints, two):
+    """One pass over ``segments``: at each checkpoint x, the mask entries
+    <= x in every residue class a coprime to q, as [(x, {a: count})].
+    ``two`` adds the prime 2, which the odd-only masks leave out."""
+    residues = coprime_residues(q)
+    running = dict.fromkeys(residues, 0)
+    out = []
+
+    def snapshot(x, lo, mask, stop):
+        counts = {}
+        for a in residues:
+            i0, stride = _residue_offset(lo, q, a)
+            counts[a] = running[a] + int(np.count_nonzero(
+                mask[i0:stop:stride]))
+        if two and x >= 2 and q % 2 == 1:
+            counts[2 % q] += 1
+        out.append((x, counts))
+
+    for lo, n, mask in segments:
+        hi = lo + 2 * (n - 1)
+        while len(out) < len(checkpoints) and checkpoints[len(out)] <= hi:
+            x = checkpoints[len(out)]
+            snapshot(x, lo, mask, max(0, (x - lo) // 2 + 1))
+        for a in residues:
+            i0, stride = _residue_offset(lo, q, a)
+            running[a] += int(np.count_nonzero(mask[i0::stride]))
+    for x in checkpoints[len(out):]:  # past the last odd number sieved
+        snapshot(x, 3, np.empty(0, dtype=bool), 0)
+    return out
+
+
+def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False):
     """Exact pi(x; q, a) at every checkpoint, one sieve pass.
 
     Checkpoints must be ascending with max <= limit; counts cover every
@@ -214,139 +221,63 @@ def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False,
     q = int(q)
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    checkpoints = [int(x) for x in checkpoints]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise DomainError("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] > limit:
-        raise DomainError("checkpoint %d above limit %d"
-                          % (checkpoints[-1], limit))
-
-    residues = coprime_residues(q)
-    running = dict.fromkeys(residues, 0)
-    out = []
-    pending = list(checkpoints)
-
-    def snapshot(x, lo, n_upto, seg):
-        counts = {}
-        for a in residues:
-            c = running[a]
-            if n_upto > 0:
-                i0, stride = _residue_offset(lo, q, a)
-                c += int(np.count_nonzero(seg[i0:n_upto:stride]))
-            if x >= 2 and math.gcd(2, q) == 1 and a == 2 % q:
-                c += 1
-            counts[a] = c
-        out.append(ResidueCounts(q, x, counts))
-
-    for lo, n, seg in _segments(limit, plan, workers):
-        hi = lo + 2 * (n - 1)
-        while pending and pending[0] <= hi + 1:
-            x = pending.pop(0)
-            n_upto = max(0, (min(x, hi) - lo) // 2 + 1) if x >= lo else 0
-            snapshot(x, lo, n_upto, seg)
-        for a in residues:
-            i0, stride = _residue_offset(lo, q, a)
-            running[a] += int(np.count_nonzero(seg[i0::stride]))
-    for x in pending:  # checkpoints past the last odd segment value
-        snapshot(x, 3, 0, None)
-    return out
+    checkpoints = _check_checkpoints(checkpoints, limit)
+    return [ResidueCounts(q, x, counts) for x, counts in
+            _tally(_segments(limit, plan), q, checkpoints, two=True)]
 
 
-def _pair_segments(limit, gap, plan=None):
-    """Yield (lo, n, pair_mask) where mask[i] marks p = lo+2i <= limit with
-    p and p+gap both prime.  Every window is sieved ``gap`` past its own end
-    so the partner lookup never crosses an unsieved boundary."""
-    k = gap // 2
-    if plan is None:
-        plan = SegmentPlan.for_limit(limit + gap)
-    base = small_primes(math.isqrt(limit + gap))
-    odd_base = base[1:] if len(base) and base[0] == 2 else base
-    span = 2 * plan.entries
-    for lo in range(3, limit + 1, span):
-        hi = min(lo + span - 2, limit)
-        if hi % 2 == 0:
-            hi -= 1
-        n_in = (hi - lo) // 2 + 1
-        seg = _mark_segment(lo, n_in + k, odd_base)
-        yield lo, n_in, seg[:n_in] & seg[k:k + n_in]
+def count_pairs_at(limit, gap, checkpoints, plan=None, allow_long=False):
+    """pi_2k at each ascending checkpoint <= limit, single pass."""
+    gap = _check_gap(gap)
+    limit = check_limit(limit, allow_long, extra=gap)
+    checkpoints = _check_checkpoints(checkpoints, limit)
+    return [(x, counts[0]) for x, counts in
+            _tally(_segments(limit, plan, gap), 1, checkpoints, two=False)]
+
+
+def pair_starts(limit, gap, plan=None, allow_long=False):
+    """All p <= limit with p, p+gap prime, as one ascending array."""
+    gap = _check_gap(gap)
+    limit = check_limit(limit, allow_long, extra=gap)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        lo + 2 * np.flatnonzero(mask).astype(np.int64)
+        for lo, _, mask in _segments(limit, plan, gap)])
 
 
 def enumerate_prime_pairs(limit, gap, visitor=None, plan=None,
                           allow_long=False):
     """Count (and optionally visit) primes p <= limit with p+gap also prime."""
-    gap = int(gap)
-    if gap < 2 or gap % 2 != 0:
-        raise DomainError("pair gap must be a positive even integer")
-    limit = check_limit(limit, allow_long, extra=gap)
-    total = 0
-    for lo, n_in, mask in _pair_segments(limit, gap, plan):
-        if visitor is not None:
-            for i in np.flatnonzero(mask):
-                visitor(int(lo + 2 * i))
-        total += int(np.count_nonzero(mask))
-    return total
-
-
-def count_pairs_at(limit, gap, checkpoints, plan=None, allow_long=False):
-    """pi_2k at each ascending checkpoint <= limit, single pass."""
-    gap = int(gap)
-    if gap < 2 or gap % 2 != 0:
-        raise DomainError("pair gap must be a positive even integer")
-    limit = check_limit(limit, allow_long, extra=gap)
-    checkpoints = [int(x) for x in checkpoints]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise DomainError("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] > limit:
-        raise DomainError("checkpoint above limit")
-    running = 0
-    out = []
-    pending = list(checkpoints)
-    for lo, n_in, mask in _pair_segments(limit, gap, plan):
-        hi = lo + 2 * (n_in - 1)
-        while pending and pending[0] <= hi + 1:
-            x = pending.pop(0)
-            n_upto = max(0, (min(x, hi) - lo) // 2 + 1) if x >= lo else 0
-            out.append((x, running + int(np.count_nonzero(mask[:n_upto]))))
-        running += int(np.count_nonzero(mask))
-    for x in pending:
-        out.append((x, running))
-    return out
-
-
-def pair_starts(limit, gap, plan=None, allow_long=False):
-    """All p <= limit with p, p+gap prime, as one ascending array."""
-    blocks = []
-    gap = int(gap)
-    if gap < 2 or gap % 2 != 0:
-        raise DomainError("pair gap must be a positive even integer")
-    limit = check_limit(limit, allow_long, extra=gap)
-    for lo, n_in, mask in _pair_segments(limit, gap, plan):
-        blocks.append(lo + 2 * np.flatnonzero(mask).astype(np.int64))
-    if not blocks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(blocks)
+    starts = pair_starts(limit, gap, plan, allow_long)
+    for p in starts if visitor is not None else ():
+        visitor(int(p))
+    return len(starts)
 
 
 # ---------------------------------------------------------------------------
 # checkpoint files: `# modulus=<q>` header, rows `x,<residue>:<count>,...`
 
+def format_checkpoints(counts):
+    """Checkpoint-file text for a list of ResidueCounts of one modulus;
+    the empty list gives the empty text."""
+    counts = list(counts)
+    if not counts:
+        return ""
+    q = counts[0].modulus
+    if any(rc.modulus != q for rc in counts):
+        raise DomainError("checkpoint file holds a single modulus")
+    if any(b.x <= a.x for a, b in zip(counts, counts[1:])):
+        raise DomainError("checkpoint x values must be strictly ascending")
+    return "# modulus=%d\n" % q + "".join(
+        "%d,%s\n" % (rc.x, ",".join("%d:%d" % (a, rc.counts[a])
+                                    for a in sorted(rc.counts)))
+        for rc in counts)
+
+
 def checkpoint_save(counts, path):
     """Write a list of ResidueCounts (one modulus) to a checkpoint file."""
-    counts = list(counts)
-    if counts:
-        q = counts[0].modulus
-        if any(rc.modulus != q for rc in counts):
-            raise DomainError("checkpoint file holds a single modulus")
-        if any(b.x <= a.x for a, b in zip(counts, counts[1:])):
-            raise DomainError("checkpoint x values must be strictly ascending")
+    text = format_checkpoints(counts)
     with open(path, "w", encoding="utf-8") as fh:
-        if not counts:
-            return
-        fh.write("# modulus=%d\n" % counts[0].modulus)
-        for rc in counts:
-            cols = ",".join("%d:%d" % (a, rc.counts[a])
-                            for a in sorted(rc.counts))
-            fh.write("%d,%s\n" % (rc.x, cols))
+        fh.write(text)
 
 
 def checkpoint_load(path):

@@ -70,25 +70,20 @@ def sawtooth_partial_sum(x, n_waves):
 
 
 def wave_sum(table, x, zeros_used=None):
-    """1 + 2 * sum over ordinates of sin(gamma ln x)/gamma, ascending."""
+    """1 + 2 * sum over ordinates of sin(gamma ln x)/gamma."""
     if x < 2:
         raise DomainError("wave sum needs x >= 2")
-    g = table.ordinates if zeros_used is None else table.ordinates[:zeros_used]
-    if len(g) == 0:
-        return 1.0
-    lx = math.log(x)
-    return 1.0 + 2.0 * float(np.sum(np.sin(g * lx) / g))
+    return float(wave_series(table, [x], zeros_used).values[0])
 
 
 def wave_series(table, x_grid, zeros_used=None):
-    """Evaluate the truncated wave sum on a whole grid."""
+    """Evaluate the wave sum over the lowest ``zeros_used`` ordinates (all
+    of them for None) on a whole grid."""
+    if zeros_used is not None and zeros_used < 0:
+        raise DomainError("zeros_used must be >= 0, got %d" % zeros_used)
     x_grid = np.asarray(x_grid, dtype=float)
-    g = table.ordinates if zeros_used is None else table.ordinates[:zeros_used]
-    if len(g) == 0:
-        vals = np.ones_like(x_grid)
-    else:
-        lx = np.log(x_grid)
-        vals = 1.0 + 2.0 * np.sin(np.outer(lx, g)) @ (1.0 / g)
+    g = table.ordinates[:zeros_used]
+    vals = 1.0 + 2.0 * np.sin(np.outer(np.log(x_grid), g)) @ (1.0 / g)
     return WaveSeries(len(g), x_grid, vals)
 
 

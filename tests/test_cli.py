@@ -1,8 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeraces import cli
 
@@ -248,3 +253,71 @@ def test_usage_exit_code_for_bad_flags():
     proc = subprocess.run([sys.executable, "-m", "primeraces.cli",
                            "pi", "--nope"], capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# bad input: a usage error (exit 2), never a traceback
+
+ZEROS = str(Path(__file__).with_name("golden") / "zeros_zeta.zeros")
+EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
+            "--range", "1e3:1e4", "--points", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--limit", "inf"],
+    ["race", "--modulus", "4", "--teams", "3:x", "--limit", "1000"],
+    ["twins", "--limit", "1000", "--gaps", "x"],
+    EXPLICIT + ["--truncations", "abc"],
+    EXPLICIT + ["--truncations", "-1"],
+    ["histogram", "--samples", "arith:1:1:0"],
+    ["histogram", "--samples", "arith:x:1:5"],
+    ["histogram", "--residues", "3", "2"],
+    ["histogram", "--range=-inf:3"],
+    ["zeros", "--lfunction", "zeta", "--tmax", "nan"],
+    ["pi", "--limit", "100", "--checkpoints", "geometric:0:10:3"],
+])
+def test_bad_input_is_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_empty_checkpoint_list_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "rows.chk"
+    code, out, _ = run_cli(capsys, "pi", "--modulus", "4", "--limit", "1e3",
+                           "--checkpoints", "geometric:1e7:1e8:5",
+                           "--checkpoint-file", str(path))
+    assert code == 2
+    assert out == "" and not path.exists()
+
+
+_TEXT = st.text(alphabet="0123456789-.,:x", max_size=4) | st.sampled_from(
+    ["", "inf", "-inf", "nan", "1e3", "1e11", "3.5", "0", "-1", "2"])
+
+
+@given(shape=st.sampled_from([
+    lambda v: ["pi", "--limit", v],
+    lambda v: ["pi", "--limit", "1000", "--modulus", "4",
+               "--checkpoints", v],
+    lambda v: ["pi", "--limit", "1000", "--checkpoints",
+               "geometric:%s:1e3:5" % v],
+    lambda v: ["race", "--modulus", "4", "--teams", v, "--limit", "1000"],
+    lambda v: ["twins", "--limit", "1000", "--gaps", v],
+    lambda v: EXPLICIT + ["--truncations", v],
+    lambda v: ["histogram", "--samples", "arith:%s:7:20" % v],
+    lambda v: ["histogram", "--samples", "arith:100:%s:20" % v],
+    lambda v: ["histogram", "--samples", "arith:100:7:%s" % v],
+    lambda v: ["histogram", "--residues", v, "1"],
+    lambda v: ["histogram", "--range", "-1:%s" % v],
+    lambda v: ["zeros", "--lfunction", "zeta", "--tmax", v[:2]],
+]), value=_TEXT)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_exit_codes_without_traceback(shape, value):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(shape(value))
+        except SystemExit as exc:  # argparse rejects the flag itself
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in err.getvalue()

@@ -246,6 +246,9 @@ def test_zero_caps_and_unsupported():
         lf.find_zeros(lf.ZETA, 501)
     with pytest.raises(DomainError):
         lf.find_zeros(lf.quadratic(7), 10)
+    for t_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            lf.find_zeros(lf.ZETA, t_max)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,22 @@ def test_walk_zero_steps():
                for t in races.simulate_tie_walk(cfg))
 
 
+def test_walk_many_teams_matches_direct_count():
+    # team indices above 127 once wrapped negative in a signed byte
+    k, steps = 200, 400
+    trials = races.simulate_tie_walk(races.WalkConfig(k, steps, 5, 3))
+    for trial, got in enumerate(trials):
+        counts, first = [0] * k, None
+        picks = races.splitmix64(races._trial_seed(3, trial), 0, steps)
+        for step, c in enumerate(picks, start=1):
+            counts[int(c) % k] += 1
+            if first is None and min(counts) == max(counts):
+                first = step
+        assert got == races.WalkTrial(first is not None, first)
+    one_step = races.simulate_tie_walk(races.WalkConfig(k, 1, 50, 0))
+    assert not any(t.returned_to_origin for t in one_step)
+
+
 def test_walk_reproducible_bitwise():
     cfg = races.WalkConfig(4, 20000, 30, 99)
     assert races.simulate_tie_walk(cfg) == races.simulate_tie_walk(cfg)

@@ -106,6 +106,12 @@ def test_checkpoint_between_segments():
         assert rc.counts == ref[rc.x]
 
 
+def test_progressions_count_the_prime_two():
+    assert counts_map(2, 1, [1, 2]) == {1: {0: 0}, 2: {0: 1}}
+    assert counts_map(10, 3, [1, 2, 3]) == {
+        1: {1: 0, 2: 0}, 2: {1: 0, 2: 1}, 3: {1: 0, 2: 1}}
+
+
 def test_pair_counts_small():
     assert sieve.enumerate_prime_pairs(10, 2) == 2  # (3,5), (5,7)
     assert sieve.enumerate_prime_pairs(1000, 2) == 35
@@ -136,11 +142,16 @@ def test_count_invariance_under_segment_size():
         assert sieve.count_primes(10**5, plan=plan) == 9592
 
 
-def test_workers_do_not_change_results():
-    assert sieve.count_primes(10**6, workers=3) == sieve.count_primes(10**6)
-    a = sieve.count_in_progressions(10**5, 4, [100, 10**5], workers=3)
-    b = sieve.count_in_progressions(10**5, 4, [100, 10**5])
-    assert [rc.counts for rc in a] == [rc.counts for rc in b]
+@pytest.mark.parametrize("gap", [2, 6, 30, 64])
+def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5):
+    # 16-entry segments cover 3..33, 35..65, ...; gap 64 looks two
+    # segments ahead of the window it counts in
+    plan = sieve.SegmentPlan(segment_size=2)
+    xs = [2, 3, 33, 34, 35, 36, 65, 66, 67, 97, 98, 999, 1000]
+    ps = set(int(p) for p in oracle_primes_1e5)
+    want = [(x, sum(1 for p in ps if p <= x and p + gap in ps)) for x in xs]
+    assert sieve.count_pairs_at(1000, gap, xs, plan=plan) == want
+    assert sieve.count_pairs_at(999, gap, xs[:-1], plan=plan) == want[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,19 @@ def test_wave_sum_subdivision_invariance(zeta_table):
 def test_wave_series_matches_pointwise(zeta_table):
     grid = waves.log_grid(100, 10**4, 50)
     series = waves.wave_series(zeta_table, grid, 10)
+    g = [float(t) for t in zeta_table.ordinates[:10]]
     for x, v in zip(grid[::13], series.values[::13]):
+        direct = 1.0 + 2.0 * sum(math.sin(t * math.log(x)) / t for t in g)
+        assert v == pytest.approx(direct, rel=1e-12)
         assert v == pytest.approx(waves.wave_sum(zeta_table, x, 10),
                                   rel=1e-12)
+
+
+def test_negative_truncation_rejected(zeta_table):
+    with pytest.raises(DomainError):
+        waves.wave_series(zeta_table, [100.0], -1)
+    with pytest.raises(DomainError):
+        waves.wave_sum(zeta_table, 100.0, -1)
 
 
 def test_wave_series_tracks_truth(zeta_table, primes_1e6):
