@@ -45,6 +45,8 @@ CASES = [
     ("psi.csv", "psi --limit 1e6", ()),
     ("zeros_zeta.zeros", "zeros --lfunction zeta --tmax 60", ()),
     ("zeros_beta4.zeros", "zeros --lfunction beta4 --tmax 60", ()),
+    ("zeros_zeta_180.zeros", "zeros --lfunction zeta --tmax 180", ()),
+    ("zeros_beta4_180.zeros", "zeros --lfunction beta4 --tmax 180", ()),
     ("walk.json", "walk --teams 3 --steps 10000 --trials 50 --seed 7", ()),
 ]
 
