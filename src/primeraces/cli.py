@@ -5,7 +5,9 @@ emits CSV (default), JSON, or SVG.  Artifacts are deterministic: identical
 invocations with identical seeds produce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
-non-convergence.
+non-convergence.  Point and sample counts (geometric:lo:hi:n checkpoints,
+histogram samples, --points, sawtooth --waves) above 10^5 are a capacity
+error, raised before anything is allocated.
 """
 
 import argparse
@@ -21,6 +23,9 @@ from . import lfunctions as lf
 from . import pairs, presets, races, sieve, waves
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      ParseError)
+
+#: the most grid points, samples or waves one command may ask for
+COUNT_CAP = 10**5
 
 
 def _emit(args, text):
@@ -38,6 +43,12 @@ def _emit(args, text):
 
 def _json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _check_count(n, what):
+    if n > COUNT_CAP:
+        raise CapacityError("%s %d above the cap %d" % (what, n, COUNT_CAP))
+    return n
 
 
 def _parse_limit(text):
@@ -72,6 +83,7 @@ def _parse_checkpoints(text, limit):
             raise bad
         if not (0 < lo < math.inf and 0 < hi < math.inf and n >= 1):
             raise bad
+        _check_count(n, "geometric point count")
         cols = sorted({int(round(v)) for v in
                        np.exp(np.linspace(math.log(lo), math.log(hi), n))})
         cols = [x for x in cols if x <= limit]
@@ -114,6 +126,7 @@ def _parse_samples(text):
         raise bad
     if kind != "arith" or count < 1:
         raise bad
+    _check_count(count, "sample count")
     return [start + step * i for i in range(count)]
 
 
@@ -222,7 +235,7 @@ def cmd_explicit(args):
         raise OSError("zeros file %s not found" % args.zeros)
     table = lf.parse_zero_table(args.zeros)
     lo, hi = _parse_range(args.range)
-    grid = waves.log_grid(lo, hi, args.points)
+    grid = waves.log_grid(lo, hi, _check_count(args.points, "--points"))
     truncations = _parse_ints(args.truncations, "truncation list")
 
     limit = int(hi)
@@ -366,6 +379,8 @@ def cmd_psi(args):
 
 
 def cmd_sawtooth(args):
+    _check_count(args.points, "--points")
+    _check_count(args.waves, "--waves")
     xs = [(i + 1) / (args.points + 1) for i in range(args.points)]
     vals = [waves.sawtooth_partial_sum(x, args.waves) for x in xs]
     target = [x - 0.5 for x in xs]

@@ -13,6 +13,7 @@ character sum vanishes) with an Euler-Maclaurin tail on the smooth block
 function.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,16 +205,20 @@ def psi_rh_inequality_check(x, psi_value=None):
 # ---------------------------------------------------------------------------
 # alternating-series acceleration (Chebyshev weights)
 
+@functools.lru_cache(maxsize=8)
 def _cvz_weights(n):
     """Weights w_k = (d_n - d_k)/d_n, k = 0..n-1, for the accelerated
     alternating sum  S ~= sum (-1)^k w_k a_k.  Built in extended precision
-    because d_n grows like (3+sqrt 8)^n."""
+    because d_n grows like (3+sqrt 8)^n.  Cached per order, so the array is
+    read-only: every caller shares it."""
     t = np.empty(n + 1, dtype=np.longdouble)
     t[0] = 1.0 / n
     for i in range(n):
         t[i + 1] = t[i] * 4.0 * (n + i) * (n - i) / ((2 * i + 1) * (2 * i + 2))
     d = np.cumsum(t) * n
-    return ((d[n] - d[:n]) / d[n]).astype(np.float64)
+    w = ((d[n] - d[:n]) / d[n]).astype(np.float64)
+    w.flags.writeable = False
+    return w
 
 
 def default_terms(im_s, tol=1e-12):
@@ -223,16 +228,9 @@ def default_terms(im_s, tol=1e-12):
         (0.5 * math.pi * t + math.log(1.0 / tol) + 6.0) / _LOG_CVZ)) + 8)
 
 
-def _alt_sum(bases, s, n_terms):
-    """sum_k (-1)^k w_k bases[k]^(-s) with CVZ weights (single point s)."""
-    w = _cvz_weights(n_terms)
-    signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
-    powers = np.exp(-s * np.log(bases))
-    return complex(np.sum(w * signs * powers))
-
-
 def _alt_sum_grid(bases, sigma, ts, n_terms):
-    """Vectorized _alt_sum along a grid of imaginary parts."""
+    """sum_k (-1)^k w_k bases[k]^(-s) with CVZ weights, at every
+    s = sigma + i*t for t in the grid ts."""
     w = _cvz_weights(n_terms)
     signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
     lb = np.log(bases)
@@ -309,12 +307,12 @@ def evaluate_l(lid, s, terms=None):
             raise DomainError("zeta has its pole at s = 1")
         n = terms or default_terms(s.imag)
         bases = np.arange(1, n + 1, dtype=float)
-        eta = _alt_sum(bases, s, n)
+        eta = _alt_sum_grid(bases, s.real, [s.imag], n)[0]
         return eta / (1.0 - np.exp((1.0 - s) * math.log(2.0)))
     if lid.kind == "beta4":
         n = terms or default_terms(s.imag)
         bases = np.arange(1, 2 * n + 1, 2, dtype=float)
-        return _alt_sum(bases, s, n)
+        return complex(_alt_sum_grid(bases, s.real, [s.imag], n)[0])
     return _quadratic_l(lid.q, s, terms or 48)
 
 
@@ -350,14 +348,21 @@ def _hardy_z_grid(lid, ts, n_terms):
                       "ingest published ordinates via parse_zero_table")
 
 
-def _bisect_zero(fn, a, b, fa, fb, precision):
-    while b - a > precision:
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
+def _bisect_zeros(lid, brackets, n_terms, precision):
+    """Midpoints of the sign-change brackets (a, b, f(a)), each bisected to
+    width <= precision.  All live brackets step together, one grid call over
+    their midpoints per step; each follows the same midpoints as it would
+    alone."""
+    a, b, fa = np.array(brackets, dtype=float).reshape(-1, 3).T
+    live = np.flatnonzero(b - a > precision)
+    while len(live):
+        m = 0.5 * (a[live] + b[live])
+        fm = _hardy_z_grid(lid, m, n_terms)
+        left = fa[live] * fm <= 0
+        right = ~left
+        b[live[left]] = m[left]
+        a[live[right]], fa[live[right]] = m[right], fm[right]
+        live = live[b[live] - a[live] > precision]
     return 0.5 * (a + b)
 
 
@@ -374,9 +379,9 @@ def find_zeros(lid, t_max, cfg=None):
     if t_max <= 0:
         return ZeroTable(lid, np.empty(0), cfg.precision)
     n_terms = default_terms(t_max)
-    point = lambda t: float(_hardy_z_grid(lid, np.array([t]), n_terms)[0])
 
     def scan(a, b, step, depth):
+        """Sign-change brackets (a, b, f(a)) on the grid of this step."""
         ts = np.arange(a, b + step / 2, step)
         zs = _hardy_z_grid(lid, ts, n_terms)
         found = []
@@ -388,15 +393,15 @@ def find_zeros(lid, t_max, cfg=None):
                          (np.abs(zs[1:-1]) < 0.1)
         for i in range(len(ts) - 1):
             if sign_change[i]:
-                found.append(_bisect_zero(point, ts[i], ts[i + 1],
-                                          zs[i], zs[i + 1], cfg.precision))
+                found.append((ts[i], ts[i + 1], zs[i]))
             elif interior[i] and depth < cfg.max_halvings:
                 found.extend(scan(ts[i - 1], ts[i + 1], step / 2, depth + 1))
         return found
 
     lo = min(cfg.scan_step, t_max / 8)
-    zeros = sorted(set(round(z, 12) for z in scan(lo, float(t_max),
-                                                  cfg.scan_step, 0)))
+    brackets = scan(lo, float(t_max), cfg.scan_step, 0)
+    zeros = sorted(set(round(z, 12) for z in
+                       _bisect_zeros(lid, brackets, n_terms, cfg.precision)))
     zeros = [z for z in zeros if 0 < z <= t_max]
     # collapse duplicates rediscovered by overlapping refined scans
     dedup = []

@@ -6,6 +6,7 @@ array where entry ``i`` stands for the odd number ``lo + 2*i``.  The prime
 ascending ``x`` order, and per-segment tallies merge by simple addition.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -188,26 +189,32 @@ def _tally(segments, q, checkpoints, two):
     running = dict.fromkeys(residues, 0)
     out = []
 
-    def snapshot(x, lo, mask, stop):
-        counts = {}
+    def snapshot(xs, lo, mask):
+        """Append the counts at the checkpoints xs, none past the mask's
+        end: the marked entries of each residue class, searched at each x."""
+        stops = (np.array(xs, dtype=np.int64) - lo) // 2 + 1
+        rows = [{} for _ in xs]
         for a in residues:
             i0, stride = _residue_offset(lo, q, a)
-            counts[a] = running[a] + int(np.count_nonzero(
-                mask[i0:stop:stride]))
-        if two and x >= 2 and q % 2 == 1:
-            counts[2 % q] += 1
-        out.append((x, counts))
+            marked = np.flatnonzero(mask[i0::stride])
+            # mask[i0:stop:stride] holds ceil((stop - i0) / stride) entries
+            below = np.searchsorted(marked, -((i0 - stops) // stride))
+            for counts, c in zip(rows, below.tolist()):
+                counts[a] = running[a] + c
+        for x, counts in zip(xs, rows):
+            if two and x >= 2 and q % 2 == 1:
+                counts[2 % q] += 1
+            out.append((x, counts))
 
     for lo, n, mask in segments:
-        hi = lo + 2 * (n - 1)
-        while len(out) < len(checkpoints) and checkpoints[len(out)] <= hi:
-            x = checkpoints[len(out)]
-            snapshot(x, lo, mask, max(0, (x - lo) // 2 + 1))
+        end = bisect.bisect_right(checkpoints, lo + 2 * (n - 1), len(out))
+        if end > len(out):
+            snapshot(checkpoints[len(out):end], lo, mask)
         for a in residues:
             i0, stride = _residue_offset(lo, q, a)
             running[a] += int(np.count_nonzero(mask[i0::stride]))
-    for x in checkpoints[len(out):]:  # past the last odd number sieved
-        snapshot(x, 3, np.empty(0, dtype=bool), 0)
+    # past the last odd number sieved
+    snapshot(checkpoints[len(out):], 3, np.empty(0, dtype=bool))
     return out
 
 

@@ -282,6 +282,26 @@ def test_bad_input_is_usage_error(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+# one past the count cap: refused (exit 3) before the grid is built
+@pytest.mark.parametrize("argv", [
+    ["pi", "--limit", "1e6", "--checkpoints", "geometric:10:1e6:100001"],
+    ["histogram", "--samples", "arith:1000:1000:100001"],
+    EXPLICIT[:-1] + ["100001"],
+    ["sawtooth", "--waves", "3", "--points", "100001"],
+    ["sawtooth", "--waves", "100001", "--points", "5"],
+])
+def test_oversized_count_is_capacity_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == "" and "above the cap 100000" in err
+
+
+def test_count_at_the_cap_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1e6", "--checkpoints",
+                           "geometric:10:1e6:100000")
+    assert code == 0 and out.endswith("1000000,78498\n")
+
+
 def test_empty_checkpoint_list_is_usage_error(tmp_path, capsys):
     path = tmp_path / "rows.chk"
     code, out, _ = run_cli(capsys, "pi", "--modulus", "4", "--limit", "1e3",

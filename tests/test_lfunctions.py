@@ -241,6 +241,24 @@ def test_beta4_zeros_against_completed_function_oracle():
         assert abs(mp_beta4(0.5 + 1j * float(g))) < 1e-8
 
 
+def test_zeta_zeros_to_500_are_all_269():
+    tab = lf.find_zeros(lf.ZETA, 500)
+    assert len(tab) == 269  # N(500)
+    for k in (1, 100, 269):
+        assert abs(tab.ordinates[k - 1] - float(mp.zetazero(k).imag)) < 1e-8
+
+
+def test_cvz_weights_cached_read_only():
+    assert lf._cvz_weights.cache_info().maxsize is not None
+    for n in (24, 160, 331):
+        w = lf._cvz_weights(n)
+        assert w is lf._cvz_weights(n)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert np.array_equal(w, lf._cvz_weights.__wrapped__(n))
+
+
 def test_zero_caps_and_unsupported():
     with pytest.raises(CapacityError):
         lf.find_zeros(lf.ZETA, 501)

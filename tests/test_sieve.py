@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,53 @@ def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5):
     want = [(x, sum(1 for p in ps if p <= x and p + gap in ps)) for x in xs]
     assert sieve.count_pairs_at(1000, gap, xs, plan=plan) == want
     assert sieve.count_pairs_at(999, gap, xs[:-1], plan=plan) == want[:-1]
+
+
+def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
+    """Frozen reference: the checkpoint tally as one count_nonzero over the
+    segment prefix per checkpoint and residue class."""
+    residues = sieve.coprime_residues(q)
+    running = dict.fromkeys(residues, 0)
+    out = []
+
+    def snapshot(x, lo, mask, stop):
+        counts = {}
+        for a in residues:
+            i0, stride = sieve._residue_offset(lo, q, a)
+            counts[a] = running[a] + int(np.count_nonzero(
+                mask[i0:stop:stride]))
+        if two and x >= 2 and q % 2 == 1:
+            counts[2 % q] += 1
+        out.append((x, counts))
+
+    for lo, n, mask in segments:
+        hi = lo + 2 * (n - 1)
+        while len(out) < len(checkpoints) and checkpoints[len(out)] <= hi:
+            x = checkpoints[len(out)]
+            snapshot(x, lo, mask, max(0, (x - lo) // 2 + 1))
+        for a in residues:
+            i0, stride = sieve._residue_offset(lo, q, a)
+            running[a] += int(np.count_nonzero(mask[i0::stride]))
+    for x in checkpoints[len(out):]:
+        snapshot(x, 3, np.empty(0, dtype=bool), 0)
+    return out
+
+
+def test_tally_matches_one_count_per_checkpoint():
+    rng = random.Random(20260418)
+    for _ in range(150):
+        size = 2 ** rng.randint(1, 15)
+        q = rng.randint(1, 30)
+        gap = rng.choice([0, 2, 6, 30])
+        limit = rng.randint(2, 20000)
+        xs = sorted(rng.sample(range(1, limit + 1),
+                               min(limit, rng.randint(0, 300))))
+        plan = sieve.SegmentPlan(segment_size=size)
+        args = (q, xs, not gap)
+        assert sieve._tally(sieve._segments(limit, plan, gap), *args) == \
+            _tally_one_count_per_checkpoint(
+                sieve._segments(limit, plan, gap), *args), (size, q, gap,
+                                                            limit)
 
 
 # ---------------------------------------------------------------------------
