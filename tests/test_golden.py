@@ -16,6 +16,8 @@ import pytest
 from primeraces import cli
 
 GOLDEN = Path(__file__).with_name("golden")
+EXPLICIT = ("explicit --range 1e4:1e6 --points 2000 --truncations 10,100,1000 "
+            "--zeros " + shlex.quote(str(GOLDEN / "zeros_%s_180.zeros")))
 
 # (artifact written with --out, command, other files the command writes)
 CASES = [
@@ -48,6 +50,11 @@ CASES = [
     ("zeros_zeta_180.zeros", "zeros --lfunction zeta --tmax 180", ()),
     ("zeros_beta4_180.zeros", "zeros --lfunction beta4 --tmax 180", ()),
     ("walk.json", "walk --teams 3 --steps 10000 --trials 50 --seed 7", ()),
+    ("explicit_pi_li.csv", EXPLICIT % "zeta" + " --target pi-li "
+     "--stats-out explicit_pi_li.stats.json", ("explicit_pi_li.stats.json",)),
+    ("explicit_mod4.json", EXPLICIT % "beta4" + " --target mod4 "
+     "--format json", ()),
+    ("sawtooth.svg", "sawtooth --waves 20 --format svg", ()),
 ]
 
 
