@@ -6,11 +6,10 @@ twin-prime pair race."""
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      ParseError, PrimeRacesError)
 from .lfunctions import (BETA4, ZETA, LFunctionId, QuadratureConfig,
-                         ZeroSearchConfig, ZeroTable, chebyshev_psi,
-                         evaluate_l, find_zeros, gauss_overcount, li, li2,
-                         li_from_origin, parse_zero_table,
-                         psi_rh_inequality_check, quadratic,
-                         riemann_overcount, riemann_prediction,
+                         ZeroTable, chebyshev_psi, evaluate_l, find_zeros,
+                         gauss_overcount, li, li2, li_from_origin,
+                         parse_zero_table, psi_rh_inequality_check,
+                         quadratic, riemann_overcount, riemann_prediction,
                          write_zero_table)
 from .pairs import (GapSpec, HLConstants, PairCounts, compute_c2,
                     count_pairs, hl_prediction, normalized_count, pair_race,

@@ -6,8 +6,8 @@ invocations with identical seeds produce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
 non-convergence.  Point and sample counts (geometric:lo:hi:n checkpoints,
-histogram samples, --points, sawtooth --waves) above 10^5 are a capacity
-error, raised before anything is allocated.
+histogram samples, --points, sawtooth --waves, walk --steps and --trials)
+above 10^5 are a capacity error, raised before anything is allocated.
 """
 
 import argparse
@@ -135,9 +135,10 @@ def _parse_samples(text):
 def cmd_pi(args):
     limit = _parse_limit(args.limit)
     cks = _parse_checkpoints(args.checkpoints, limit)
-    rows = sieve.count_in_progressions(limit, args.modulus or 1, cks,
+    q = 1 if args.modulus is None else args.modulus
+    rows = sieve.count_in_progressions(limit, q, cks,
                                        allow_long=args.allow_long)
-    if args.modulus:
+    if args.modulus is not None:
         if args.checkpoint_file:
             sieve.checkpoint_save(rows, args.checkpoint_file)
         if args.format == "json":
@@ -216,10 +217,7 @@ def cmd_race(args):
 
 
 def cmd_zeros(args):
-    lid = {"zeta": lf.ZETA, "beta4": lf.BETA4}.get(args.lfunction)
-    if lid is None:
-        raise DomainError("--lfunction must be zeta or beta4")
-    table = lf.find_zeros(lid, args.tmax)
+    table = lf.find_zeros(lf._parse_lid(args.lfunction), args.tmax)
     if args.format == "json":
         _emit(args, _json({"lfunction": str(table.id),
                            "precision": table.precision,
@@ -242,15 +240,11 @@ def cmd_explicit(args):
     primes = sieve.primes_up_to(limit, allow_long=args.allow_long)
     pi_at = np.searchsorted(primes, np.floor(grid), side="right")
     if args.target == "pi-li":
-        li_vals = np.array([lf.li(float(x)) for x in grid])
-        truth = (li_vals - pi_at) * np.log(grid) / np.sqrt(grid)
-    elif args.target == "mod4":
-        res = primes % 4
-        c3 = np.cumsum(res == 3)
-        c1 = np.cumsum(res == 1)
-        truth = (c3[pi_at - 1] - c1[pi_at - 1]) * np.log(grid) / np.sqrt(grid)
+        truth = waves.lhs_pi_li(grid, pi_at)
     else:
-        raise DomainError("--target must be pi-li or mod4")
+        res = primes % 4
+        truth = waves.lhs_mod4(grid, np.cumsum(res == 3)[pi_at - 1],
+                               np.cumsum(res == 1)[pi_at - 1])
 
     truth_series = waves.WaveSeries(0, grid, truth)
     columns = [("truth", truth)]
@@ -325,8 +319,9 @@ def cmd_histogram(args):
                           % (a, b, args.modulus))
     rows = sieve.count_in_progressions(xs[-1], args.modulus, xs,
                                        allow_long=args.allow_long)
-    samples = [races.shanks_ratio(rc.x, rc.counts[a], rc.counts[b])
-               for rc in rows]
+    samples = races.shanks_ratio(
+        [rc.x for rc in rows], np.array([rc.counts[a] for rc in rows]),
+        np.array([rc.counts[b] for rc in rows]))
     lo, hi = _parse_range(args.range)
     hist = races.build_histogram(samples, args.bins, lo, hi)
     if args.format == "json":
@@ -347,7 +342,8 @@ def cmd_histogram(args):
 
 
 def cmd_walk(args):
-    cfg = races.WalkConfig(args.teams, args.steps, args.trials, args.seed)
+    cfg = races.WalkConfig(args.teams, _check_count(args.steps, "--steps"),
+                           _check_count(args.trials, "--trials"), args.seed)
     trials = races.simulate_tie_walk(cfg)
     returned = [t for t in trials if t.returned_to_origin]
     summary = {
@@ -379,7 +375,8 @@ def cmd_psi(args):
 
 
 def cmd_sawtooth(args):
-    _check_count(args.points, "--points")
+    if _check_count(args.points, "--points") < 1:
+        raise DomainError("--points must be >= 1")
     _check_count(args.waves, "--waves")
     xs = [(i + 1) / (args.points + 1) for i in range(args.points)]
     vals = [waves.sawtooth_partial_sum(x, args.waves) for x in xs]
@@ -411,12 +408,13 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=("csv", "json")):
+    def common(sp, fmt=("csv", "json"), allow_long=True):
         sp.add_argument("--format", choices=fmt, default="csv")
         sp.add_argument("--out", help="output path (default stdout); "
                         "relative paths resolve under $PRIME_RACES_CACHE")
-        sp.add_argument("--allow-long", action="store_true",
-                        help="opt in to limits above 10^9")
+        if allow_long:
+            sp.add_argument("--allow-long", action="store_true",
+                            help="opt in to sieve limits above 10^9")
         sp.add_argument("-v", "--verbose", action="store_true")
 
     sp = sub.add_parser("pi", help="prime counts, optionally per residue")
@@ -444,7 +442,7 @@ def build_parser():
     sp = sub.add_parser("zeros", help="critical-line zero ordinates")
     sp.add_argument("--lfunction", required=True)
     sp.add_argument("--tmax", type=float, required=True)
-    common(sp)
+    common(sp, allow_long=False)
     sp.set_defaults(func=cmd_zeros)
 
     sp = sub.add_parser("explicit", help="wave-sum approximations vs truth")
@@ -481,7 +479,7 @@ def build_parser():
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, fmt=("json",))
+    common(sp, fmt=("json",), allow_long=False)
     sp.set_defaults(func=cmd_walk)
 
     sp = sub.add_parser("psi", help="prime-power log sums vs x")
@@ -492,7 +490,7 @@ def build_parser():
     sp = sub.add_parser("sawtooth", help="Fourier wave demo for x - 1/2")
     sp.add_argument("--waves", type=int, required=True)
     sp.add_argument("--points", type=int, default=200)
-    common(sp, fmt=("csv", "json", "svg"))
+    common(sp, fmt=("csv", "json", "svg"), allow_long=False)
     sp.set_defaults(func=cmd_sawtooth)
     return p
 

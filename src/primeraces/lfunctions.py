@@ -25,6 +25,12 @@ from . import sieve
 from .errors import CapacityError, ConvergenceError, DomainError, ParseError
 
 T_MAX_CAP = 500.0
+#: zero search: scan step along the critical line, how often a dip toward
+#: zero without a sign change is rescanned at half the step, and the
+#: bracket width each zero is bisected to
+SCAN_STEP = 0.05
+MAX_HALVINGS = 6
+ZERO_PRECISION = 1e-9
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 
 
@@ -69,13 +75,6 @@ class QuadratureConfig:
 
 
 @dataclass(frozen=True)
-class ZeroSearchConfig:
-    precision: float = 1e-9
-    scan_step: float = 0.05
-    max_halvings: int = 6
-
-
-@dataclass(frozen=True)
 class ZeroTable:
     id: LFunctionId
     ordinates: np.ndarray
@@ -97,12 +96,17 @@ class ZeroTable:
 # logarithmic integrals
 
 def _quad_ln(f, x, cfg, what):
-    """Adaptive quadrature of f(u) over u = ln t in [ln 2, ln x].
+    """Adaptive quadrature of f(u) over u = ln t in [ln 2, ln x], x >= 2.
 
     The requested absolute tolerance is honored down to the double-precision
     floor (a few hundred ulps of the result); the error estimate must clear
     whichever is larger or the call refuses to pretend.
     """
+    if x < 2:
+        raise DomainError("%s is defined here for x >= 2" % what)
+    if x == 2:
+        return 0.0
+    cfg = cfg or QuadratureConfig()
     val, err = quad(f, math.log(2.0), math.log(x),
                     epsabs=cfg.abs_tol / 2, epsrel=1e-13, limit=cfg.max_depth)
     floor = 512 * np.finfo(float).eps * abs(val)
@@ -114,21 +118,11 @@ def _quad_ln(f, x, cfg, what):
 
 def li(x, cfg=None):
     """Li(x) = integral 2..x of dt/ln t, by adaptive quadrature in u = ln t."""
-    cfg = cfg or QuadratureConfig()
-    if x < 2:
-        raise DomainError("Li is defined here for x >= 2")
-    if x == 2:
-        return 0.0
     return _quad_ln(lambda u: math.exp(u) / u, x, cfg, "Li")
 
 
 def li2(x, cfg=None):
     """Li2(x) = integral 2..x of dt/(ln t)^2, the pair-count analogue."""
-    cfg = cfg or QuadratureConfig()
-    if x < 2:
-        raise DomainError("Li2 is defined here for x >= 2")
-    if x == 2:
-        return 0.0
     return _quad_ln(lambda u: math.exp(u) / (u * u), x, cfg, "Li2")
 
 
@@ -228,18 +222,23 @@ def default_terms(im_s, tol=1e-12):
         (0.5 * math.pi * t + math.log(1.0 / tol) + 6.0) / _LOG_CVZ)) + 8)
 
 
-def _alt_sum_grid(bases, sigma, ts, n_terms):
-    """sum_k (-1)^k w_k bases[k]^(-s) with CVZ weights, at every
-    s = sigma + i*t for t in the grid ts."""
-    w = _cvz_weights(n_terms)
+def _l_grid(lid, sigma, ts, n_terms):
+    """Zeta or beta4 at every s = sigma + i*t for t in the grid ts: the
+    alternating sum_k (-1)^k w_k b_k^(-s) with CVZ weights over the bases
+    b = 1, 2, 3, ... (divided by 1 - 2^(1-s) for zeta) or 1, 3, 5, ...
+    (beta4)."""
+    ts = np.asarray(ts, dtype=float)
+    step = 1 if lid.kind == "zeta" else 2
+    lb = np.log(np.arange(1, step * n_terms + 1, step, dtype=float))
     signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
-    lb = np.log(bases)
-    coef = w * signs * np.exp(-sigma * lb)
+    coef = _cvz_weights(n_terms) * signs * np.exp(-sigma * lb)
     out = np.empty(len(ts), dtype=complex)
     chunk = max(1, (1 << 22) // n_terms)
     for i in range(0, len(ts), chunk):
         phase = np.exp(-1j * np.outer(ts[i:i + chunk], lb))
         out[i:i + chunk] = phase @ coef
+    if lid.kind == "zeta":
+        out /= 1.0 - np.exp((1.0 - sigma - 1j * ts) * math.log(2.0))
     return out
 
 
@@ -302,18 +301,12 @@ def evaluate_l(lid, s, terms=None):
     error decreases geometrically in it.  Defaults come from Im(s).
     """
     s = _check_s(s)
-    if lid.kind == "zeta":
-        if s == 1:
-            raise DomainError("zeta has its pole at s = 1")
-        n = terms or default_terms(s.imag)
-        bases = np.arange(1, n + 1, dtype=float)
-        eta = _alt_sum_grid(bases, s.real, [s.imag], n)[0]
-        return eta / (1.0 - np.exp((1.0 - s) * math.log(2.0)))
-    if lid.kind == "beta4":
-        n = terms or default_terms(s.imag)
-        bases = np.arange(1, 2 * n + 1, 2, dtype=float)
-        return complex(_alt_sum_grid(bases, s.real, [s.imag], n)[0])
-    return _quadratic_l(lid.q, s, terms or 48)
+    if lid.kind == "quadratic":
+        return _quadratic_l(lid.q, s, terms or 48)
+    if lid.kind == "zeta" and s == 1:
+        raise DomainError("zeta has its pole at s = 1")
+    n = terms or default_terms(s.imag)
+    return complex(_l_grid(lid, s.real, [s.imag], n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +327,12 @@ def _theta_beta4(ts):
 
 def _hardy_z_grid(lid, ts, n_terms):
     """Real rotated function along the critical line at the grid ts."""
+    theta = {"zeta": _theta_zeta, "beta4": _theta_beta4}.get(lid.kind)
+    if theta is None:
+        raise DomainError("zero finding supports zeta and beta4 only; "
+                          "ingest published ordinates via parse_zero_table")
     ts = np.asarray(ts, dtype=float)
-    if lid.kind == "zeta":
-        vals = _alt_sum_grid(np.arange(1, n_terms + 1, dtype=float),
-                             0.5, ts, n_terms)
-        vals = vals / (1.0 - np.exp((0.5 - 1j * ts) * math.log(2.0)))
-        return (np.exp(1j * _theta_zeta(ts)) * vals).real
-    if lid.kind == "beta4":
-        vals = _alt_sum_grid(np.arange(1, 2 * n_terms + 1, 2, dtype=float),
-                             0.5, ts, n_terms)
-        return (np.exp(1j * _theta_beta4(ts)) * vals).real
-    raise DomainError("zero finding supports zeta and beta4 only; "
-                      "ingest published ordinates via parse_zero_table")
+    return (np.exp(1j * theta(ts)) * _l_grid(lid, 0.5, ts, n_terms)).real
 
 
 def _bisect_zeros(lid, brackets, n_terms, precision):
@@ -366,18 +353,17 @@ def _bisect_zeros(lid, brackets, n_terms, precision):
     return 0.5 * (a + b)
 
 
-def find_zeros(lid, t_max, cfg=None):
+def find_zeros(lid, t_max):
     """All ordinates gamma in (0, t_max] with L(1/2 + i*gamma) = 0, each
     certified by a sign change of the rotated real function and refined
-    by bisection to cfg.precision."""
-    cfg = cfg or ZeroSearchConfig()
+    by bisection to ZERO_PRECISION."""
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
         raise CapacityError("t_max %g above the desk-scale cap %g"
                             % (t_max, T_MAX_CAP))
     if t_max <= 0:
-        return ZeroTable(lid, np.empty(0), cfg.precision)
+        return ZeroTable(lid, np.empty(0), ZERO_PRECISION)
     n_terms = default_terms(t_max)
 
     def scan(a, b, step, depth):
@@ -394,21 +380,21 @@ def find_zeros(lid, t_max, cfg=None):
         for i in range(len(ts) - 1):
             if sign_change[i]:
                 found.append((ts[i], ts[i + 1], zs[i]))
-            elif interior[i] and depth < cfg.max_halvings:
+            elif interior[i] and depth < MAX_HALVINGS:
                 found.extend(scan(ts[i - 1], ts[i + 1], step / 2, depth + 1))
         return found
 
-    lo = min(cfg.scan_step, t_max / 8)
-    brackets = scan(lo, float(t_max), cfg.scan_step, 0)
+    lo = min(SCAN_STEP, t_max / 8)
+    brackets = scan(lo, float(t_max), SCAN_STEP, 0)
     zeros = sorted(set(round(z, 12) for z in
-                       _bisect_zeros(lid, brackets, n_terms, cfg.precision)))
+                       _bisect_zeros(lid, brackets, n_terms, ZERO_PRECISION)))
     zeros = [z for z in zeros if 0 < z <= t_max]
     # collapse duplicates rediscovered by overlapping refined scans
     dedup = []
     for z in zeros:
-        if not dedup or z - dedup[-1] > 2 * cfg.precision:
+        if not dedup or z - dedup[-1] > 2 * ZERO_PRECISION:
             dedup.append(z)
-    return ZeroTable(lid, np.array(dedup), cfg.precision)
+    return ZeroTable(lid, np.array(dedup), ZERO_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +413,14 @@ def write_zero_table(table, path):
 
 
 def _parse_lid(text):
-    text = text.strip()
-    if text == "zeta":
-        return ZETA
-    if text == "beta4":
-        return BETA4
-    if text.startswith("quadratic:"):
-        return quadratic(int(text.split(":", 1)[1]))
-    raise ValueError(text)
+    """The id named by `zeta`, `beta4` or `quadratic:<q>`; DomainError for
+    any other text."""
+    kind, colon, q = text.strip().partition(":")
+    if kind in ("zeta", "beta4") and not colon:
+        return LFunctionId(kind)
+    if kind == "quadratic" and q.isdigit():
+        return quadratic(int(q))
+    raise DomainError("unknown L-function %r" % text)
 
 
 def parse_zero_table(path, lid=None, precision=1e-9):
@@ -452,7 +438,7 @@ def parse_zero_table(path, lid=None, precision=1e-9):
                 if body.startswith("lfunction="):
                     try:
                         file_id = _parse_lid(body.split("=", 1)[1])
-                    except (ValueError, DomainError):
+                    except DomainError:
                         raise ParseError("bad lfunction header", lineno)
                 continue
             try:

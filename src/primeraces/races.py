@@ -246,10 +246,12 @@ def error_term(x, q, a, pi_x, pi_x_q_a):
 
 
 def shanks_ratio(x, count_a, count_b):
-    """(count_a - count_b) * ln(x) / sqrt(x), the histogram statistic."""
-    if x < 3:
-        raise DomainError("ratio needs x >= 3")
-    return (count_a - count_b) * math.log(x) / math.sqrt(x)
+    """(count_a - count_b) * ln(x) / sqrt(x), the histogram statistic;
+    elementwise over arrays of x and counts."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 2):
+        raise DomainError("ratio needs x >= 2")
+    return (count_a - count_b) * np.log(x) / np.sqrt(x)
 
 
 def build_histogram(samples, bins, lo, hi):

@@ -88,16 +88,19 @@ def wave_series(table, x_grid, zeros_used=None):
 
 
 def lhs_pi_li(x, pi_x, cfg=None, use_half_li_sqrt=False):
-    """(Li(x) - pi(x)) normalized by sqrt(x)/ln(x); with
-    ``use_half_li_sqrt`` the denominator is Li(sqrt x)/2 instead, the
-    variant that displays better at small x."""
+    """(Li(x) - pi(x)) normalized by sqrt(x)/ln(x), elementwise over arrays
+    of x and pi(x); with ``use_half_li_sqrt`` the denominator is
+    Li(sqrt x)/2 instead, the variant that displays better at small x.
+    Li takes one quadrature per point."""
     from .lfunctions import li
-    if x < 4:
-        raise DomainError("normalized Li - pi needs x >= 4")
-    num = li(x, cfg) - pi_x
-    if use_half_li_sqrt:
-        return num / (0.5 * li(math.sqrt(x), cfg))
-    return num * math.log(x) / math.sqrt(x)
+    li_at = np.vectorize(lambda v: li(v, cfg), otypes=[float])
+    x = np.asarray(x, dtype=float)
+    if not use_half_li_sqrt:
+        return shanks_ratio(x, li_at(x), pi_x)
+    # Li(sqrt 4)/2 = 0, so the variant starts just above x = 4
+    if np.any(x <= 4):
+        raise DomainError("normalization by Li(sqrt x)/2 needs x > 4")
+    return (li_at(x) - pi_x) / (0.5 * li_at(np.sqrt(x)))
 
 
 def lhs_mod4(x, count_3, count_1):
@@ -107,15 +110,8 @@ def lhs_mod4(x, count_3, count_1):
 
 def ford_konyagin_profile(z, x):
     """Right-hand sides of the four normalized mod-5 deviations under one
-    off-line zero: a = 1, 2, 3, 4 in that order."""
-    if x < 2:
-        raise DomainError("profile needs x >= 2")
-    c = math.cos(z.gamma * math.log(x))
-    s = math.sin(z.gamma * math.log(x))
-    return (-z.sigma * c - z.gamma * s,
-            z.sigma * s - z.gamma * c,
-            -z.sigma * s + z.gamma * c,
-            z.sigma * c + z.gamma * s)
+    off-line zero at one x: a = 1, 2, 3, 4 in that order."""
+    return tuple(float(v) for v in ford_konyagin_grid(z, [x])[:, 0])
 
 
 def ford_konyagin_grid(z, x_grid):

@@ -275,6 +275,11 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["histogram", "--range=-inf:3"],
     ["zeros", "--lfunction", "zeta", "--tmax", "nan"],
     ["pi", "--limit", "100", "--checkpoints", "geometric:0:10:3"],
+    ["pi", "--limit", "100", "--modulus", "0"],
+    ["sawtooth", "--waves", "3", "--points", "0"],
+    ["sawtooth", "--waves", "3", "--points", "0", "--format", "svg"],
+    ["zeros", "--lfunction", "foo", "--tmax", "10"],
+    ["zeros", "--lfunction", "quadratic:5", "--tmax", "10"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -289,6 +294,8 @@ def test_bad_input_is_usage_error(argv, capsys):
     EXPLICIT[:-1] + ["100001"],
     ["sawtooth", "--waves", "3", "--points", "100001"],
     ["sawtooth", "--waves", "100001", "--points", "5"],
+    ["walk", "--teams", "3", "--steps", "100001", "--trials", "1"],
+    ["walk", "--teams", "3", "--steps", "1", "--trials", "100001"],
 ])
 def test_oversized_count_is_capacity_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -300,6 +307,30 @@ def test_count_at_the_cap_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "pi", "--limit", "1e6", "--checkpoints",
                            "geometric:10:1e6:100000")
     assert code == 0 and out.endswith("1000000,78498\n")
+
+
+@pytest.mark.parametrize("target", ["pi-li", "mod4"])
+def test_explicit_from_x_two(target, capsys):
+    code, out, _ = run_cli(capsys, "explicit", "--zeros", ZEROS, "--target",
+                           target, "--range", "2:100", "--points", "5")
+    assert code == 0
+    assert out.splitlines()[1].startswith("2,")
+
+
+def test_histogram_samples_from_x_two(capsys):
+    code, out, _ = run_cli(capsys, "histogram", "--samples", "arith:2:1:50")
+    assert code == 0 and out.startswith("# total=50 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--lfunction", "zeta", "--tmax", "10"],
+    ["walk", "--teams", "3", "--steps", "10", "--trials", "1"],
+    ["sawtooth", "--waves", "3"],
+])
+def test_allow_long_only_on_sieve_commands(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--allow-long"])
+    assert exc.value.code == 2
 
 
 def test_empty_checkpoint_list_is_usage_error(tmp_path, capsys):

@@ -311,6 +311,13 @@ def test_zero_table_descending(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text", ["foo", "zeta:3", "quadratic:",
+                                  "quadratic:x", "quadratic:9"])
+def test_bad_lfunction_name_is_domain_error(text):
+    with pytest.raises(DomainError):
+        lf._parse_lid(text)
+
+
 def test_zero_table_header_mismatch(tmp_path):
     path = tmp_path / "z.zeros"
     path.write_text("# lfunction=beta4\n6.02\n")

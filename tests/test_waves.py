@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from primeraces import lfunctions as lf
-from primeraces import waves
+from primeraces import races, waves
 from primeraces.errors import DomainError
 
 
@@ -134,6 +134,33 @@ def test_lhs_mod4_matches_ratio():
     assert waves.lhs_mod4(100, 7, 7) == 0.0
 
 
+def test_targets_on_arrays_match_one_point_values():
+    xs = np.array([2.0, 3.0, 4.5, 100.0, 26862.0, 1e6])
+    pis = np.array([1, 2, 2, 25, 2945, 78498])
+    c3 = np.array([0, 1, 1, 13, 1472, 39322])
+    c1 = np.array([0, 0, 0, 11, 1473, 39175])
+    for fn, args in [(waves.lhs_pi_li, (xs, pis)),
+                     (waves.lhs_mod4, (xs, c3, c1)),
+                     (races.shanks_ratio, (xs, c3, c1))]:
+        whole = fn(*args)
+        assert whole.shape == xs.shape
+        assert np.array_equal(whole, [fn(*point) for point in zip(*args)])
+    half = waves.lhs_pi_li(xs[2:], pis[2:], use_half_li_sqrt=True)
+    assert np.array_equal(half, [
+        waves.lhs_pi_li(x, p, use_half_li_sqrt=True)
+        for x, p in zip(xs[2:], pis[2:])])
+
+
+def test_target_domains():
+    assert races.shanks_ratio(2, 1, 0) == math.log(2) / math.sqrt(2)
+    assert waves.lhs_pi_li(2, 1) == -math.log(2) / math.sqrt(2)
+    for call in (lambda: races.shanks_ratio([5.0, 1.5], 0, 0),
+                 lambda: waves.lhs_pi_li(1.5, 0),
+                 lambda: waves.lhs_pi_li(4, 2, use_half_li_sqrt=True)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_mod4_truth_dips_visible(primes_1e6):
     # the first lead region shows as a negative dip of the truth curve
     res = primes_1e6 % 4
@@ -156,6 +183,16 @@ def test_profile_at_full_period():
     assert p2 == pytest.approx(-z.gamma, abs=1e-12)
     assert p3 == pytest.approx(z.gamma, abs=1e-12)
     assert p4 == pytest.approx(z.sigma, abs=1e-12)
+
+
+def test_profile_is_one_grid_column():
+    z = waves.HypotheticalZero(0.6, 2.25)
+    grid = waves.log_grid(2, 10**9, 101)
+    rows = waves.ford_konyagin_grid(z, grid)
+    for j, x in enumerate(grid):
+        assert waves.ford_konyagin_profile(z, x) == tuple(rows[:, j])
+    with pytest.raises(DomainError):
+        waves.ford_konyagin_profile(z, 1.5)
 
 
 def test_profile_antisymmetry_exact():
