@@ -319,9 +319,8 @@ def cmd_histogram(args):
                           % (a, b, args.modulus))
     rows = sieve.count_in_progressions(xs[-1], args.modulus, xs,
                                        allow_long=args.allow_long)
-    # float counts (exact below 2^53): an int64 * float64 product takes
-    # numpy's buffered cast, which left the next sieve's peak RSS 5 MiB
-    # higher in about half the runs
+    # float counts: an int64 * float64 product (numpy's buffered cast) left
+    # the next sieve's peak RSS 5 MiB higher in about half the runs
     samples = races.shanks_ratio(
         [rc.x for rc in rows], np.array([rc.counts[a] for rc in rows], float),
         np.array([rc.counts[b] for rc in rows], float))

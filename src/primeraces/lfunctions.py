@@ -326,11 +326,9 @@ def _theta_beta4(ts):
 
 
 def _hardy_z_grid(lid, ts, n_terms):
-    """Real rotated function along the critical line at the grid ts."""
-    theta = {"zeta": _theta_zeta, "beta4": _theta_beta4}.get(lid.kind)
-    if theta is None:
-        raise DomainError("zero finding supports zeta and beta4 only; "
-                          "ingest published ordinates via parse_zero_table")
+    """Real rotated function of zeta or beta4 along the critical line at
+    the grid ts."""
+    theta = _theta_zeta if lid.kind == "zeta" else _theta_beta4
     ts = np.asarray(ts, dtype=float)
     return (np.exp(1j * theta(ts)) * _l_grid(lid, 0.5, ts, n_terms)).real
 
@@ -357,6 +355,9 @@ def find_zeros(lid, t_max):
     """All ordinates gamma in (0, t_max] with L(1/2 + i*gamma) = 0, each
     certified by a sign change of the rotated real function and refined
     by bisection to ZERO_PRECISION."""
+    if lid.kind == "quadratic":
+        raise DomainError("zero finding supports zeta and beta4 only; "
+                          "ingest published ordinates via parse_zero_table")
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:

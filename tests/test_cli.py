@@ -280,6 +280,7 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["sawtooth", "--waves", "3", "--points", "0", "--format", "svg"],
     ["zeros", "--lfunction", "foo", "--tmax", "10"],
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "10"],
+    ["zeros", "--lfunction", "quadratic:5", "--tmax", "0"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
