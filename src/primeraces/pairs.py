@@ -7,6 +7,7 @@ rationals; leadership comparisons scale every team to a common denominator
 and compare integers, so ties are decided exactly, never through floats.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,8 +53,14 @@ def compute_c2(prime_limit=10**7):
     """Partial product of (1 - 1/(p-1)^2) over odd primes <= prime_limit.
 
     The dropped tail lies in [1 - sum_{n>limit} 1/(n-1)^2, 1], so the true
-    constant sits within c2 * 1/(limit-1) below the returned value.
+    constant sits within c2 * 1/(limit-1) below the returned value.  The
+    result is cached per limit: a repeat call returns the same object.
     """
+    return _c2_product(int(prime_limit))
+
+
+@functools.lru_cache(maxsize=8)
+def _c2_product(prime_limit):
     if prime_limit < 3:
         raise DomainError("need at least one odd prime")
     primes = sieve.primes_up_to(prime_limit, allow_long=True)[1:]
@@ -106,14 +113,24 @@ def hl_prediction(x, constants=None, cfg=None):
     return 2.0 * constants.c2 * li2(x, cfg)
 
 
+def _gap_specs(gaps):
+    return [g if isinstance(g, GapSpec) else GapSpec(int(g)) for g in gaps]
+
+
+def _count_pairs(limit, gaps, checkpoints, plan, allow_long):
+    """One PairCounts per GapSpec, all from one sieve pass."""
+    checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
+    rows = sieve.count_pairs_by_gap(limit, [g.gap for g in gaps],
+                                    checkpoints, plan, allow_long)
+    return [PairCounts(g, np.array([x for x, _ in r], dtype=np.int64),
+                       np.array([c for _, c in r], dtype=np.int64))
+            for g, r in zip(gaps, rows)]
+
+
 def count_pairs(limit, gap, checkpoints=None, plan=None, allow_long=False):
     """pi_2k at the given checkpoints (default: just the limit)."""
-    gs = gap if isinstance(gap, GapSpec) else GapSpec(int(gap))
-    checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
-    rows = sieve.count_pairs_at(limit, gs.gap, checkpoints, plan, allow_long)
-    xs = np.array([x for x, _ in rows], dtype=np.int64)
-    cs = np.array([c for _, c in rows], dtype=np.int64)
-    return PairCounts(gs, xs, cs)
+    return _count_pairs(limit, _gap_specs([gap]), checkpoints, plan,
+                        allow_long)[0]
 
 
 def _scaled_teams(gaps):
@@ -140,29 +157,25 @@ def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
     first place by default (pass place="last", or run detect_lead_changes
     on the returned ledger, for the trailing position).
     """
-    gaps = [g if isinstance(g, GapSpec) else GapSpec(int(g)) for g in gaps]
-    if len({g.gap for g in gaps}) != len(gaps):
-        raise DomainError("gaps must be distinct")
+    gaps = _gap_specs(gaps)
     scales = _scaled_teams(gaps)
     teams = [TeamSpec(str(g.gap), {1}) for g in gaps]  # labels only
 
     if dense:
-        starts = [sieve.pair_starts(limit, g.gap, plan, allow_long)
-                  for g in gaps]
-        xs = np.unique(np.concatenate(starts)) if starts else np.empty(0)
+        starts = sieve.pair_starts_by_gap(limit, [g.gap for g in gaps],
+                                          plan, allow_long)
+        xs = np.unique(np.concatenate(starts))
         mat = np.zeros((len(gaps), len(xs)), dtype=np.int64)
         for i, st in enumerate(starts):
             mat[i] = np.searchsorted(st, xs, side="right") * scales[i]
         ledger = RaceLedger(0, teams, xs, mat, dense=True, limit=int(limit))
         return ledger, detect_lead_changes(ledger, place)
 
-    checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
-    mat = np.zeros((len(gaps), len(checkpoints)), dtype=np.int64)
-    for i, g in enumerate(gaps):
-        pc = count_pairs(limit, g, checkpoints, plan, allow_long)
-        mat[i] = pc.counts * scales[i]
-    ledger = RaceLedger(0, teams, np.array(checkpoints, dtype=np.int64),
-                        mat, dense=False, limit=int(limit))
+    counts = _count_pairs(limit, gaps, checkpoints, plan, allow_long)
+    mat = np.array([pc.counts * s for pc, s in zip(counts, scales)],
+                   dtype=np.int64)
+    ledger = RaceLedger(0, teams, counts[0].xs, mat, dense=False,
+                        limit=int(limit))
     return ledger, []
 
 
@@ -176,14 +189,14 @@ def twin_table(gaps, checkpoints, limit=None, constants=None, cfg=None,
     raw count, normalized count, prediction, and the difference under both
     rounding conventions (exact-then-round, and subtract-the-floored-
     prediction as the published tables do)."""
-    gaps = [g if isinstance(g, GapSpec) else GapSpec(int(g)) for g in gaps]
+    gaps = _gap_specs(gaps)
     checkpoints = sorted(int(x) for x in checkpoints)
     limit = limit or checkpoints[-1]
+    counts = _count_pairs(limit, gaps, checkpoints, None, allow_long)
     constants = constants or compute_c2()
     rows = []
     preds = {x: hl_prediction(x, constants, cfg) for x in checkpoints}
-    for g in gaps:
-        pc = count_pairs(limit, g, checkpoints, allow_long=allow_long)
+    for g, pc in zip(gaps, counts):
         norm = normalized_count(pc)
         for x, raw, nv in zip(pc.xs, pc.counts, norm):
             x = int(x)

@@ -17,9 +17,11 @@ from .errors import CapacityError, DomainError, ParseError
 HARD_CAP = 10**10
 LONG_RUN_THRESHOLD = 10**9
 
-#: default pass size: 2**18 sieve entries (32 KiB as a bitmap), i.e. a span
-#: of 2**19 integers per segment.
-DEFAULT_SEGMENT_BYTES = 1 << 15
+#: default pass size: 2**20 sieve entries, i.e. a span of 2**21 integers per
+#: segment.  The mask is a numpy bool array, one byte per entry, so a segment
+#: takes 1 MiB.  pi(10**9) ran fastest at this size: half as large pays the
+#: per-prime loop twice as often, twice as large outgrows the cache.
+DEFAULT_SEGMENT_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,15 @@ def check_limit(limit, allow_long=False, extra=0):
     return limit
 
 
-def _check_gap(gap):
-    gap = int(gap)
-    if gap < 2 or gap % 2 != 0:
+def _check_gaps(gaps):
+    gaps = [int(g) for g in gaps]
+    if not gaps:
+        raise DomainError("need at least one pair gap")
+    if any(g < 2 or g % 2 != 0 for g in gaps):
         raise DomainError("pair gap must be a positive even integer")
-    return gap
+    if len(set(gaps)) != len(gaps):
+        raise DomainError("gaps must be distinct")
+    return gaps
 
 
 def _check_checkpoints(checkpoints, limit):
@@ -101,34 +107,38 @@ def small_primes(n):
 
 
 def _mark_segment(lo, n, odd_base):
-    """Boolean mask over the n odd numbers lo, lo+2, ...; True = prime."""
+    """Boolean mask over the n odd numbers lo, lo+2, ...; True = prime.
+
+    ``odd_base`` holds the odd primes up to at least isqrt of the last
+    number, ascending; each crosses out its odd multiples from max(p*p, the
+    first multiple >= lo) on."""
     seg = np.ones(n, dtype=bool)
     hi = lo + 2 * (n - 1)
-    for p in odd_base:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = p * p
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-        seg[(start - lo) // 2:: p] = False
+    ps = odd_base[:np.searchsorted(odd_base, math.isqrt(hi), side="right")]
+    starts = np.maximum(ps * ps, -(-lo // ps) * ps)
+    starts += ps * (starts % 2 == 0)
+    for p, i in zip(ps.tolist(), ((starts - lo) // 2).tolist()):
+        seg[i::p] = False
     return seg
 
 
-def _segments(limit, plan=None, gap=0):
-    """Yield (lo, n, mask) over the odd numbers lo, lo+2, ..., lo+2(n-1) <=
-    limit, ascending.  mask[i] marks lo+2i prime or, with an even ``gap``,
-    lo+2i and lo+2i+gap both prime: each window is then sieved ``gap`` past
-    its own end so the partner lookup never crosses an unsieved boundary."""
+def _segments(limit, plan=None, extra=0):
+    """Yield (lo, n, seg) ascending: seg marks the primes among the odd
+    numbers lo, lo+2, ...; its first n entries are the ones <= limit, and
+    it runs ``extra`` (even) further so that a pair partner up to ``extra``
+    ahead never sits across an unsieved boundary."""
     span = 2 * (plan or SegmentPlan()).entries
-    k = gap // 2
-    odd_base = small_primes(math.isqrt(limit + gap))[1:]
+    odd_base = small_primes(math.isqrt(limit + extra))[1:]
     for lo in range(3, limit + 1, span):
         n = (min(lo + span - 2, limit) - lo) // 2 + 1
-        seg = _mark_segment(lo, n + k, odd_base)
-        yield lo, n, seg[:n] & seg[k:k + n] if k else seg
+        yield lo, n, _mark_segment(lo, n + extra // 2, odd_base)
+
+
+def _pair_masks(limit, gaps, plan=None):
+    """Yield (lo, n, masks) ascending, one sieve pass for every gap:
+    masks[j][i] marks lo+2i and lo+2i+gaps[j] both prime, lo+2i <= limit."""
+    for lo, n, seg in _segments(limit, plan, max(gaps)):
+        yield lo, n, [seg[:n] & seg[g // 2:g // 2 + n] for g in gaps]
 
 
 def iter_prime_blocks(limit, plan=None, allow_long=False):
@@ -181,41 +191,49 @@ def coprime_residues(q):
     return [a for a in range(q) if math.gcd(a, q) == 1] or [0]
 
 
-def _tally(segments, q, checkpoints, two):
-    """One pass over ``segments``: at each checkpoint x, the mask entries
-    <= x in every residue class a coprime to q, as [(x, {a: count})].
-    ``two`` adds the prime 2, which the odd-only masks leave out."""
-    residues = coprime_residues(q)
-    running = dict.fromkeys(residues, 0)
-    out = []
+class _Tally:
+    """Running counts of the marked mask entries in every residue class a
+    coprime to q.  ``add`` the masks (lo, n, mask) in ascending order, then
+    ``finish`` returns [(x, {a: count})] at every checkpoint x.  ``two``
+    adds the prime 2, which the odd-only masks leave out."""
 
-    def snapshot(xs, lo, mask):
+    def __init__(self, q, checkpoints, two):
+        self.q, self.checkpoints, self.two = q, checkpoints, two
+        self.residues = coprime_residues(q)
+        self.running = dict.fromkeys(self.residues, 0)
+        self.out = []
+
+    def _snapshot(self, xs, lo, mask):
         """Append the counts at the checkpoints xs, none past the mask's
         end: the marked entries of each residue class, searched at each x."""
         stops = (np.array(xs, dtype=np.int64) - lo) // 2 + 1
         rows = [{} for _ in xs]
-        for a in residues:
-            i0, stride = _residue_offset(lo, q, a)
+        for a in self.residues:
+            i0, stride = _residue_offset(lo, self.q, a)
             marked = np.flatnonzero(mask[i0::stride])
             # mask[i0:stop:stride] holds ceil((stop - i0) / stride) entries
             below = np.searchsorted(marked, -((i0 - stops) // stride))
             for counts, c in zip(rows, below.tolist()):
-                counts[a] = running[a] + c
+                counts[a] = self.running[a] + c
         for x, counts in zip(xs, rows):
-            if two and x >= 2 and q % 2 == 1:
-                counts[2 % q] += 1
-            out.append((x, counts))
+            if self.two and x >= 2 and self.q % 2 == 1:
+                counts[2 % self.q] += 1
+            self.out.append((x, counts))
 
-    for lo, n, mask in segments:
-        end = bisect.bisect_right(checkpoints, lo + 2 * (n - 1), len(out))
-        if end > len(out):
-            snapshot(checkpoints[len(out):end], lo, mask)
-        for a in residues:
-            i0, stride = _residue_offset(lo, q, a)
-            running[a] += int(np.count_nonzero(mask[i0::stride]))
-    # past the last odd number sieved
-    snapshot(checkpoints[len(out):], 3, np.empty(0, dtype=bool))
-    return out
+    def add(self, lo, n, mask):
+        done = len(self.out)
+        end = bisect.bisect_right(self.checkpoints, lo + 2 * (n - 1), done)
+        if end > done:
+            self._snapshot(self.checkpoints[done:end], lo, mask)
+        for a in self.residues:
+            i0, stride = _residue_offset(lo, self.q, a)
+            self.running[a] += int(np.count_nonzero(mask[i0::stride]))
+
+    def finish(self):
+        # the checkpoints past the last odd number sieved
+        self._snapshot(self.checkpoints[len(self.out):], 3,
+                       np.empty(0, dtype=bool))
+        return self.out
 
 
 def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False):
@@ -229,26 +247,49 @@ def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False):
     if q < 1:
         raise DomainError("modulus must be >= 1")
     checkpoints = _check_checkpoints(checkpoints, limit)
-    return [ResidueCounts(q, x, counts) for x, counts in
-            _tally(_segments(limit, plan), q, checkpoints, two=True)]
+    tally = _Tally(q, checkpoints, two=True)
+    for lo, n, seg in _segments(limit, plan):
+        tally.add(lo, n, seg)
+    return [ResidueCounts(q, x, counts) for x, counts in tally.finish()]
+
+
+def count_pairs_by_gap(limit, gaps, checkpoints, plan=None,
+                       allow_long=False):
+    """pi_2k for every distinct gap in ``gaps`` at each ascending checkpoint
+    <= limit, from one sieve pass: one [(x, count)] list per gap, in the
+    order of ``gaps``."""
+    gaps = _check_gaps(gaps)
+    limit = check_limit(limit, allow_long, extra=max(gaps))
+    checkpoints = _check_checkpoints(checkpoints, limit)
+    tallies = [_Tally(1, checkpoints, two=False) for _ in gaps]
+    for lo, n, masks in _pair_masks(limit, gaps, plan):
+        for tally, mask in zip(tallies, masks):
+            tally.add(lo, n, mask)
+    return [[(x, counts[0]) for x, counts in tally.finish()]
+            for tally in tallies]
 
 
 def count_pairs_at(limit, gap, checkpoints, plan=None, allow_long=False):
     """pi_2k at each ascending checkpoint <= limit, single pass."""
-    gap = _check_gap(gap)
-    limit = check_limit(limit, allow_long, extra=gap)
-    checkpoints = _check_checkpoints(checkpoints, limit)
-    return [(x, counts[0]) for x, counts in
-            _tally(_segments(limit, plan, gap), 1, checkpoints, two=False)]
+    return count_pairs_by_gap(limit, [gap], checkpoints, plan, allow_long)[0]
+
+
+def pair_starts_by_gap(limit, gaps, plan=None, allow_long=False):
+    """For every distinct gap in ``gaps``, all p <= limit with p, p+gap
+    prime as one ascending array, from one sieve pass; in the order of
+    ``gaps``."""
+    gaps = _check_gaps(gaps)
+    limit = check_limit(limit, allow_long, extra=max(gaps))
+    blocks = [[np.empty(0, dtype=np.int64)] for _ in gaps]
+    for lo, n, masks in _pair_masks(limit, gaps, plan):
+        for block, mask in zip(blocks, masks):
+            block.append(lo + 2 * np.flatnonzero(mask).astype(np.int64))
+    return [np.concatenate(block) for block in blocks]
 
 
 def pair_starts(limit, gap, plan=None, allow_long=False):
     """All p <= limit with p, p+gap prime, as one ascending array."""
-    gap = _check_gap(gap)
-    limit = check_limit(limit, allow_long, extra=gap)
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        lo + 2 * np.flatnonzero(mask).astype(np.int64)
-        for lo, _, mask in _segments(limit, plan, gap)])
+    return pair_starts_by_gap(limit, [gap], plan, allow_long)[0]
 
 
 def enumerate_prime_pairs(limit, gap, visitor=None, plan=None,

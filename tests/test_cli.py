@@ -281,6 +281,7 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["zeros", "--lfunction", "foo", "--tmax", "10"],
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "10"],
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "0"],
+    ["twins", "--limit", "10", "--gaps", "2,2"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)

@@ -140,6 +140,16 @@ def test_pair_race_single_gap_no_events():
 def test_pair_race_distinct_gaps():
     with pytest.raises(DomainError):
         pairs.pair_race([2, 2], 10**4)
+    with pytest.raises(DomainError):
+        pairs.twin_table([2, 2], [10])
+    with pytest.raises(DomainError):
+        pairs.twin_table([], [10])
+
+
+def test_c2_cached(c2):
+    assert pairs.compute_c2() is c2
+    assert pairs.hl_prediction(10**6) == pairs.hl_prediction(
+        10**6, pairs.compute_c2())
 
 
 def test_gap_validation():

@@ -1,3 +1,5 @@
+import bisect
+import math
 import random
 
 import numpy as np
@@ -156,6 +158,72 @@ def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5):
     assert sieve.count_pairs_at(999, gap, xs[:-1], plan=plan) == want[:-1]
 
 
+def test_mark_segment_matches_small_primes():
+    # lo below, at and just past a prime square, and segments ending on one
+    rng = random.Random(20261018)
+    odd = sieve.small_primes(400)[1:].tolist()
+    for _ in range(400):
+        p = rng.choice(odd)
+        n = rng.randint(1, 300)
+        lo = max(3, rng.choice([p * p - 2 * rng.randint(1, 300), p * p,
+                                p * p + 2, p * p - 2 * (n - 1)]))
+        hi = lo + 2 * (n - 1)
+        ref = set(sieve.small_primes(hi).tolist())
+        # a base longer than isqrt(hi) must not change the mask
+        base = sieve.small_primes(math.isqrt(hi) + rng.choice([0, 50]))[1:]
+        got = sieve._mark_segment(lo, n, base)
+        assert got.tolist() == [lo + 2 * i in ref for i in range(n)], (lo, n)
+
+
+def test_segments_match_small_primes():
+    # every segment, the short last one and the run past the limit included
+    rng = random.Random(20261019)
+    for _ in range(200):
+        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 8))
+        limit = rng.randint(2, 6000)
+        extra = rng.choice([0, 2, 64, 210])
+        ref = set(sieve.small_primes(limit + extra).tolist())
+        covered = []
+        for lo, n, seg in sieve._segments(limit, plan, extra):
+            assert n <= plan.entries and len(seg) == n + extra // 2
+            assert seg.tolist() == [lo + 2 * i in ref
+                                    for i in range(len(seg))], (lo, n)
+            covered += range(lo, lo + 2 * n, 2)
+        assert covered == list(range(3, limit + 1, 2))
+
+
+def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5):
+    ps = oracle_primes_1e5.tolist()
+    prime = set(ps)
+    rng = random.Random(20261020)
+    for _ in range(40):
+        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 15))
+        span = 2 * plan.entries
+        gaps = rng.sample([2, 6, 30, 64, 210], rng.randint(1, 5))
+        limit = rng.randint(2, 20000)
+        # checkpoints straddling segment boundaries, and a few at random
+        xs = {lo + d for lo in range(3, limit + 1, span)
+              for d in (-2, -1, 0, 1, 2)}
+        xs |= set(rng.sample(range(1, limit + 1), min(limit, 20)))
+        xs = sorted(x for x in xs if 1 <= x <= limit)
+        counts = sieve.count_pairs_by_gap(limit, gaps, xs, plan)
+        starts = sieve.pair_starts_by_gap(limit, gaps, plan)
+        for gap, got, st in zip(gaps, counts, starts):
+            want = [p for p in ps if p <= limit and p + gap in prime]
+            assert st.tolist() == want, (gap, limit)
+            assert got == [(x, bisect.bisect_right(want, x)) for x in xs]
+            assert np.array_equal(st, sieve.pair_starts(limit, gap, plan))
+            assert got == sieve.count_pairs_at(limit, gap, xs, plan)
+
+
+def test_pair_gaps_distinct_and_nonempty():
+    for gaps in ([2, 2], [], [2, 3]):
+        with pytest.raises(DomainError):
+            sieve.count_pairs_by_gap(100, gaps, [100])
+        with pytest.raises(DomainError):
+            sieve.pair_starts_by_gap(100, gaps)
+
+
 def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
     """Frozen reference: the checkpoint tally as one count_nonzero over the
     segment prefix per checkpoint and residue class."""
@@ -186,6 +254,14 @@ def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
     return out
 
 
+def _masks(limit, plan, gap):
+    """(lo, n, mask) per segment: the primes, or with a gap the pairs."""
+    if not gap:
+        return list(sieve._segments(limit, plan))
+    return [(lo, n, masks[0])
+            for lo, n, masks in sieve._pair_masks(limit, [gap], plan)]
+
+
 def test_tally_matches_one_count_per_checkpoint():
     rng = random.Random(20260418)
     for _ in range(150):
@@ -197,10 +273,12 @@ def test_tally_matches_one_count_per_checkpoint():
                                min(limit, rng.randint(0, 300))))
         plan = sieve.SegmentPlan(segment_size=size)
         args = (q, xs, not gap)
-        assert sieve._tally(sieve._segments(limit, plan, gap), *args) == \
-            _tally_one_count_per_checkpoint(
-                sieve._segments(limit, plan, gap), *args), (size, q, gap,
-                                                            limit)
+        segments = _masks(limit, plan, gap)
+        tally = sieve._Tally(*args)
+        for seg in segments:
+            tally.add(*seg)
+        assert tally.finish() == _tally_one_count_per_checkpoint(
+            segments, *args), (size, q, gap, limit)
 
 
 # ---------------------------------------------------------------------------
