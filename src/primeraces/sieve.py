@@ -134,7 +134,7 @@ def _segments(limit, plan=None, extra=0):
         yield lo, n, _mark_segment(lo, n + extra // 2, odd_base)
 
 
-def _pair_masks(limit, gaps, plan=None):
+def _pair_masks(limit, gaps, plan):
     """Yield (lo, n, masks) ascending, one sieve pass for every gap:
     masks[j][i] marks lo+2i and lo+2i+gaps[j] both prime, lo+2i <= limit."""
     for lo, n, seg in _segments(limit, plan, max(gaps)):

@@ -122,6 +122,11 @@ def test_pair_counts_small():
     assert sieve.enumerate_prime_pairs(1000, 6) == 74
     with pytest.raises(DomainError):
         sieve.enumerate_prime_pairs(1000, 3)
+    for gaps in ([2, 2], [], [2, 3]):
+        with pytest.raises(DomainError):
+            sieve.count_pairs_by_gap(100, gaps, [100])
+        with pytest.raises(DomainError):
+            sieve.pair_starts_by_gap(100, gaps)
 
 
 def test_pair_visitor_values(oracle_primes_1e5):
@@ -214,14 +219,6 @@ def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5):
             assert got == [(x, bisect.bisect_right(want, x)) for x in xs]
             assert np.array_equal(st, sieve.pair_starts(limit, gap, plan))
             assert got == sieve.count_pairs_at(limit, gap, xs, plan)
-
-
-def test_pair_gaps_distinct_and_nonempty():
-    for gaps in ([2, 2], [], [2, 3]):
-        with pytest.raises(DomainError):
-            sieve.count_pairs_by_gap(100, gaps, [100])
-        with pytest.raises(DomainError):
-            sieve.pair_starts_by_gap(100, gaps)
 
 
 def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
