@@ -25,7 +25,7 @@ grid = waves.log_grid(10**4, 10**6, 400)
 primes = sieve.primes_up_to(10**6)
 pi_at = np.searchsorted(primes, np.floor(grid), side="right")
 
-li_vals = np.array([lf.li(float(x)) for x in grid])
+li_vals = lf.li(grid)
 truth = waves.WaveSeries(0, grid,
                          (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
 print("\nnormalized li - pi target, fit by zero count:")

@@ -5,8 +5,8 @@ twin-prime pair race."""
 
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      ParseError, PrimeRacesError)
-from .lfunctions import (BETA4, ZETA, LFunctionId, QuadratureConfig,
-                         ZeroTable, chebyshev_psi, evaluate_l, find_zeros,
+from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
+                         chebyshev_psi, evaluate_l, find_zeros,
                          gauss_overcount, li, li2, li_from_origin,
                          parse_zero_table, psi_rh_inequality_check,
                          quadratic, riemann_overcount, riemann_prediction,

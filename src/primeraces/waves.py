@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .lfunctions import li
 from .races import shanks_ratio
 
 
@@ -87,20 +88,18 @@ def wave_series(table, x_grid, zeros_used=None):
     return WaveSeries(len(g), x_grid, vals)
 
 
-def lhs_pi_li(x, pi_x, cfg=None, use_half_li_sqrt=False):
+def lhs_pi_li(x, pi_x, use_half_li_sqrt=False):
     """(Li(x) - pi(x)) normalized by sqrt(x)/ln(x), elementwise over arrays
     of x and pi(x); with ``use_half_li_sqrt`` the denominator is
     Li(sqrt x)/2 instead, the variant that displays better at small x.
-    Li takes one quadrature per point."""
-    from .lfunctions import li
-    li_at = np.vectorize(lambda v: li(v, cfg), otypes=[float])
+    Li is evaluated once over the whole grid, in closed form."""
     x = np.asarray(x, dtype=float)
     if not use_half_li_sqrt:
-        return shanks_ratio(x, li_at(x), pi_x)
+        return shanks_ratio(x, li(x), pi_x)
     # Li(sqrt 4)/2 = 0, so the variant starts just above x = 4
     if np.any(x <= 4):
         raise DomainError("normalization by Li(sqrt x)/2 needs x > 4")
-    return (li_at(x) - pi_x) / (0.5 * li_at(np.sqrt(x)))
+    return (li(x) - pi_x) / (0.5 * li(np.sqrt(x)))
 
 
 def lhs_mod4(x, count_3, count_1):

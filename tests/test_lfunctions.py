@@ -53,6 +53,27 @@ def test_li_overcounts():
         assert abs(math.floor(lf.li(x) - pi_x) - overcount) <= 1
 
 
+def test_overcounts_match_mpmath_floors():
+    closest = 1.0
+    for x, pi_x, _, _ in pub.PI_OVERCOUNT_ROWS:
+        li_x, li_sqrt = mp.li(x), mp.li(mp.sqrt(x))
+        cases = [
+            (lf.gauss_overcount(x, pi_x), li_x - pi_x),
+            (lf.gauss_overcount(x, pi_x, from_origin=False),
+             li_x - mp.li(2) - pi_x),
+            (lf.riemann_overcount(x, pi_x), li_x - li_sqrt / 2 - pi_x),
+            (lf.riemann_overcount(x, pi_x, from_origin=False),
+             li_x - li_sqrt / 2 - mp.li(2) / 2 - pi_x),
+        ]
+        for got, want in cases:
+            assert got == int(mp.floor(want)), (x, got, want)
+            closest = min(closest, float(want - mp.floor(want)),
+                          float(mp.ceil(want) - want))
+    # every floor sits far outside the double-precision error of li
+    print("closest overcount to an integer: %.5f" % closest)
+    assert closest > 1e-3
+
+
 def test_riemann_overcounts():
     for x, pi_x, _, overcount in pub.PI_OVERCOUNT_ROWS:
         assert abs(lf.riemann_overcount(x, pi_x) - overcount) <= 1
@@ -67,18 +88,6 @@ def test_li_origin_constant():
         pytest.approx(float(mp2.li(10**6)), abs=1e-6)
 
 
-def test_li_tolerance_self_check():
-    # halving the tolerance never moves the value by more than the prior one
-    for x in (100.0, 10**6):
-        tol = 1e-4
-        prev = lf.li(x, lf.QuadratureConfig(abs_tol=tol))
-        for _ in range(6):
-            tol /= 2
-            cur = lf.li(x, lf.QuadratureConfig(abs_tol=tol))
-            assert abs(cur - prev) <= 2 * tol
-            prev = cur
-
-
 def test_li2_values():
     assert lf.li2(2) == 0.0
     ref = float(mp.quad(lambda t: 1 / mp.log(t)**2, [2, 1000]))
@@ -87,14 +96,65 @@ def test_li2_values():
         lf.li2(1.0)
 
 
-def test_li2_tolerance_self_check():
-    tol = 1e-4
-    prev = lf.li2(10**6, lf.QuadratureConfig(abs_tol=tol))
-    for _ in range(6):
-        tol /= 2
-        cur = lf.li2(10**6, lf.QuadratureConfig(abs_tol=tol))
-        assert abs(cur - prev) <= 2 * tol
-        prev = cur
+def mp_li(x):
+    """Li(x) from 2, by mpmath at 30 digits."""
+    x = mp.mpf(float(x))
+    return float(mp.li(x) - mp.li(2))
+
+
+def mp_li2(x):
+    """Li2(x) by parts, Li(x) - x/ln x + 2/ln 2, at 30 digits."""
+    x = mp.mpf(float(x))
+    return float(mp.li(x) - mp.li(2) - x / mp.log(x) + 2 / mp.log(2))
+
+
+def test_li_against_mpmath_on_log_grid():
+    xs = np.geomspace(2, 1e12, 300)
+    got = lf.li(xs)
+    want = np.array([mp_li(x) for x in xs])
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] / want[1:] - 1)) <= 1e-14
+    # near 2 the two Ei values cancel: an absolute bound there
+    near = np.array([2 + 1e-12, 2 + 1e-9, 2 + 1e-7, 2.001, 2.01, 2.1])
+    assert np.max(np.abs(lf.li(near) - [mp_li(x) for x in near])) <= 1e-15
+
+
+def test_li2_against_mpmath():
+    for x in (2 + 1e-7, 2.001, 2.5, 10.0, 1e3, 1e9):
+        got, want = lf.li2(x), mp_li2(x)
+        if x < 2.01:  # Li(x) and x/ln x - 2/ln 2 cancel to a few ulps
+            assert abs(got - want) <= 2e-15, x
+        else:
+            assert abs(got / want - 1) <= 1e-14, x
+
+
+def test_li_exactly_zero_at_two_whatever_the_log_rounding(monkeypatch):
+    # the constants come from math.log and the grid from np.log; a platform
+    # where the two round ln 2 apart must still give exactly 0 at x = 2
+    monkeypatch.setattr(lf, "_EI_LN2", np.nextafter(lf._EI_LN2, 0))
+    monkeypatch.setattr(lf, "_TWO_OVER_LN2", np.nextafter(lf._TWO_OVER_LN2, 9))
+    for f in (lf.li, lf.li2):
+        assert f(2) == 0.0
+        assert np.array_equal(f(np.array([2.0, 2.0])), [0.0, 0.0])
+
+
+def test_li_arrays_match_scalar_calls():
+    xs = np.concatenate([[2.0, 2 + 1e-9, 2.5], np.geomspace(3, 1e12, 201)])
+    for f in (lf.li, lf.li2):
+        one = [f(float(x)) for x in xs]
+        assert all(type(v) is float for v in one)
+        whole = f(xs)
+        assert whole.shape == xs.shape
+        assert np.array_equal(whole, one)
+        assert np.array_equal(f(xs.reshape(2, -1)), whole.reshape(2, -1))
+        assert type(f(np.float64(10))) is float
+
+
+def test_li_arrays_refuse_any_point_below_two():
+    for f in (lf.li, lf.li2):
+        for bad in ([10.0, 1.999, 1e6], [2.0, np.nan], [[3.0], [-1.0]]):
+            with pytest.raises(DomainError):
+                f(np.array(bad))
 
 
 # ---------------------------------------------------------------------------

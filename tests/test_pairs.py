@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_pair_race_dense_leader_is_gap8_at_1e6():
     idx = {lab: i for i, lab in enumerate(ledger.labels)}
     final = ledger.counts[:, -1]
     assert ledger.labels[int(np.argmax(final))] == "8"
+
+
+def test_dense_pair_race_samples_the_union_of_starts():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 12))
+        gaps = rng.sample([2, 4, 6, 8, 10, 30, 64], rng.randint(1, 5))
+        limit = rng.randint(2, 20000)
+        ledger, _ = pairs.pair_race(gaps, limit, dense=True, plan=plan)
+        starts = sieve.pair_starts_by_gap(limit, gaps, plan)
+        assert np.array_equal(ledger.xs, np.unique(np.concatenate(starts)))
+        assert ledger.xs.dtype == np.int64
 
 
 def test_pair_race_single_gap_no_events():
