@@ -84,39 +84,35 @@ class ZeroTable:
 # ---------------------------------------------------------------------------
 # logarithmic integrals
 
-def _log_domain(x, what):
-    """x as a float array, refusing any entry below 2 (or NaN)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 2):
-        raise DomainError("%s is defined here for x >= 2" % what)
-    return x
-
-
-def _scalar_or_array(v):
-    return float(v) if v.ndim == 0 else v
-
-
 #: Ei(ln 2), the lower limit of the closed forms below; taken from the same
 #: expi as the upper limit so that nearby errors cancel
 _EI_LN2 = float(expi(math.log(2.0)))
 _TWO_OVER_LN2 = 2.0 / math.log(2.0)
 
 
+def _from_two(x, what, f):
+    """f over x >= 2 elementwise (a float for a scalar), exactly 0 at
+    x = 2; DomainError if any entry is below 2 or NaN."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 2):
+        raise DomainError("%s is defined here for x >= 2" % what)
+    v = np.where(x == 2, 0.0, f(x))
+    return float(v) if v.ndim == 0 else v
+
+
 def li(x):
     """Li(x) = integral 2..x of dt/ln t = Ei(ln x) - Ei(ln 2), elementwise
-    over arrays (a float for a scalar), exactly 0 at x = 2.  The absolute
-    error stays within a few ulps of Ei(ln 2) (under 1e-15) near x = 2 and
-    the relative error under 1e-14 from x = 2.1 up."""
-    x = _log_domain(x, "Li")
-    return _scalar_or_array(np.where(x == 2, 0.0, expi(np.log(x)) - _EI_LN2))
+    over arrays.  The absolute error stays within a few ulps of Ei(ln 2)
+    (under 1e-15) near x = 2 and the relative error under 1e-14 from
+    x = 2.1 up."""
+    return _from_two(x, "Li", lambda x: expi(np.log(x)) - _EI_LN2)
 
 
 def li2(x):
     """Li2(x) = integral 2..x of dt/(ln t)^2, the pair-count analogue; by
     parts, Li(x) - x/ln x + 2/ln 2.  Elementwise like li."""
-    x = _log_domain(x, "Li2")
-    return _scalar_or_array(np.where(
-        x == 2, 0.0, li(x) - x / np.log(x) + _TWO_OVER_LN2))
+    return _from_two(x, "Li2",
+                     lambda x: li(x) - x / np.log(x) + _TWO_OVER_LN2)
 
 
 #: integral of dt/ln t from 0 to 2 (principal value through t = 1); the
