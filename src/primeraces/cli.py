@@ -11,6 +11,7 @@ above 10^5 are a capacity error, raised before anything is allocated.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -23,6 +24,12 @@ from . import lfunctions as lf
 from . import pairs, presets, races, sieve, waves
 from .errors import (CapacityError, ConvergenceError, DomainError,
                      ParseError)
+
+# The imports above leave ~40k objects whose first full collection is due
+# within a few thousand allocations; run it at start-up, not inside the
+# first command that builds many containers (a 5,000-point histogram took
+# 25 ms longer when the collection landed there).
+gc.collect()
 
 #: the most grid points, samples or waves one command may ask for
 COUNT_CAP = 10**5

@@ -163,8 +163,7 @@ def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
     if dense:
         starts = sieve.pair_starts_by_gap(limit, [g.gap for g in gaps],
                                           plan, allow_long)
-        # sort and drop repeats: np.unique gives the same xs but took ~40x
-        # longer on 678k starts under numpy 2.4
+        # sorted, repeats dropped: np.unique took ~40x longer here (numpy 2.4)
         xs = np.sort(np.concatenate(starts))
         xs = xs[np.diff(xs, prepend=-1) != 0]
         mat = np.zeros((len(gaps), len(xs)), dtype=np.int64)
