@@ -35,6 +35,10 @@ CASES = [
      "--events", ()),
     ("race_mod7_events.csv", "race --modulus 7 --teams squares:nonsquares "
      "--limit 1e6 --events", ()),
+    ("race_mod10_events.csv", "race --modulus 10 --teams 1:3:7:9 "
+     "--limit 1e6 --events", ()),
+    ("race_events_density.json", "race --modulus 4 --teams 3:1 --limit 1e6 "
+     "--events --density natural --format json", ()),
     ("race_density_log.json", "race --modulus 4 --teams 3:1 --limit 1e6 "
      "--density log", ()),
     ("race_density_natural.json", "race --modulus 4 --teams 3:1 --limit 1e6 "
