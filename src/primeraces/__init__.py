@@ -23,7 +23,6 @@ from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     splitmix64, squares_mod, strictly_ahead)
 from .sieve import (ResidueCounts, SegmentPlan, checkpoint_load,
                     checkpoint_save, count_in_progressions, count_primes,
-                    enumerate_prime_pairs, enumerate_primes,
                     iter_prime_blocks, primes_up_to)
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
                     compare_series, ford_konyagin_grid,

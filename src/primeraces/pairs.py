@@ -136,14 +136,24 @@ def _scaled_teams(gaps):
     """Common-denominator integer scale factors for exact normalized
     comparisons: scale_g = den_lcm * num_rec / den_rec with the reciprocal
     singular factor num_rec/den_rec = (p-2)/(p-1) products."""
-    recs = []
-    for g in gaps:
-        num, den = singular_factor(g.k)
-        recs.append((den, num))  # reciprocal: multiply counts by den/num
-    lcm = 1
-    for _, num in recs:
-        lcm = lcm * num // math.gcd(lcm, num)
-    return [den * (lcm // num) for den, num in recs]
+    recs = [singular_factor(g.k) for g in gaps]  # counts times den/num
+    lcm = math.lcm(*(num for num, _ in recs))
+    return [den * (lcm // num) for num, den in recs]
+
+
+def _pair_chunks(limit, gaps, scales, plan):
+    """Yield (xs, counts) per sieve segment: xs are the starts of any gap's
+    pairs there, counts each gap's running pair count at those xs (carried
+    across segments) times its scale."""
+    carry = np.zeros((len(gaps), 1), dtype=np.int64)
+    scales = np.array(scales, dtype=np.int64)[:, None]
+    for lo, _, masks in sieve._pair_masks(limit, gaps, plan):
+        idx = np.flatnonzero(functools.reduce(np.logical_or, masks))
+        if len(idx):
+            counts = np.cumsum([m[idx] for m in masks], axis=1,
+                               dtype=np.int64) + carry
+            carry = counts[:, [-1]]
+            yield lo + 2 * idx.astype(np.int64), counts * scales
 
 
 def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
@@ -161,15 +171,10 @@ def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
     teams = [TeamSpec(str(g.gap), {1}) for g in gaps]  # labels only
 
     if dense:
-        starts = sieve.pair_starts_by_gap(limit, [g.gap for g in gaps],
-                                          plan, allow_long)
-        # sorted, repeats dropped: np.unique took ~40x longer here (numpy 2.4)
-        xs = np.sort(np.concatenate(starts))
-        xs = xs[np.diff(xs, prepend=-1) != 0]
-        mat = np.zeros((len(gaps), len(xs)), dtype=np.int64)
-        for i, st in enumerate(starts):
-            mat[i] = np.searchsorted(st, xs, side="right") * scales[i]
-        ledger = RaceLedger(0, teams, xs, mat, dense=True, limit=int(limit))
+        raw = sieve._check_gaps([g.gap for g in gaps])
+        limit = sieve.check_limit(limit, allow_long, extra=max(raw))
+        chunks = functools.partial(_pair_chunks, limit, raw, scales, plan)
+        ledger = RaceLedger(0, teams, dense=True, limit=limit, chunks=chunks)
         return ledger, detect_lead_changes(ledger, place)
 
     counts = _count_pairs(limit, gaps, checkpoints, plan, allow_long)

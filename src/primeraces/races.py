@@ -1,14 +1,15 @@
 """Race bookkeeping over progression counts.
 
 A race pits disjoint teams of residue classes mod q against each other.
-Ledgers are immutable snapshots of per-team cumulative counts, either at
-sparse checkpoints or densely at every prime up to a limit.  A "leader"
-requires strict inequality; ties are a distinct state and generate their
-own lead-change events.
+Ledgers hold per-team cumulative counts, either at sparse checkpoints or
+densely at every prime up to a limit; a dense ledger streams its counts
+one sieve segment at a time.  A "leader" requires strict inequality; ties
+are a distinct state and generate their own lead-change events.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma
@@ -82,24 +83,36 @@ class WalkTrial:
     first_return_step: int | None
 
 
-@dataclass
 class RaceLedger:
     """Per-team cumulative counts sampled at ascending x values.
 
     ``dense`` means the samples cover every prime up to ``limit``, which is
-    what lead-change detection and density measures require.
+    what lead-change detection and density measures require.  ``chunks()``
+    yields (xs, counts) blocks in ascending x, counts of shape
+    (len(teams), len(xs)).  A dense ledger keeps only that source and sieves
+    afresh on each call, so it holds one segment at a time; its ``xs`` and
+    ``counts`` are concatenated from the blocks on first use.
     """
 
-    modulus: int
-    teams: list
-    xs: np.ndarray
-    counts: np.ndarray  # shape (len(teams), len(xs))
-    dense: bool = False
-    limit: int = 0
-    labels: list = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, modulus, teams, xs=None, counts=None, dense=False,
+                 limit=0, chunks=None):
+        self.modulus, self.teams = modulus, list(teams)
+        self.dense, self.limit = dense, limit
         self.labels = [t.label for t in self.teams]
+        if chunks is None:
+            self.xs, self.counts = xs, counts
+            chunks = lambda: iter([(xs, counts)])
+        self.chunks = chunks
+
+    @functools.cached_property
+    def xs(self):
+        return np.concatenate([np.empty(0, np.int64)]
+                              + [xs for xs, _ in self.chunks()])
+
+    @functools.cached_property
+    def counts(self):
+        return np.concatenate([np.empty((len(self.teams), 0), np.int64)]
+                              + [c for _, c in self.chunks()], axis=1)
 
 
 def _validate_teams(q, teams):
@@ -123,44 +136,58 @@ def run_race(counts, teams):
     q = counts[0].modulus
     _validate_teams(q, teams)
     xs = np.array([rc.x for rc in counts], dtype=np.int64)
-    mat = np.zeros((len(teams), len(counts)), dtype=np.int64)
-    for j, rc in enumerate(counts):
-        for i, t in enumerate(teams):
-            mat[i, j] = sum(rc.counts[r] for r in t.residues)
+    mat = np.array([[sum(rc.counts[r] for r in t.residues) for rc in counts]
+                    for t in teams], dtype=np.int64)
     return RaceLedger(q, list(teams), xs, mat, dense=False, limit=int(xs[-1]))
+
+
+def _race_chunks(limit, q, teams, plan, allow_long):
+    """Yield (primes, counts) per sieve segment: each team's running count
+    at each prime, carried across segments."""
+    team_of = np.full(q, len(teams), dtype=np.intp)  # len(teams) = no team
+    for i, t in enumerate(teams):
+        team_of[list(t.residues)] = i
+    rows = np.arange(len(teams))[:, None]
+    carry = np.zeros((len(teams), 1), dtype=np.int64)
+    for primes in sieve.iter_prime_blocks(limit, plan, allow_long):
+        if len(primes):
+            owner = team_of[primes % q]
+            counts = np.cumsum(owner == rows, axis=1, dtype=np.int64) + carry
+            carry = counts[:, [-1]]
+            yield primes, counts
 
 
 def run_dense_race(limit, q, teams, plan=None, allow_long=False):
     """Ledger sampled at every prime <= limit (the dense mode)."""
     _validate_teams(q, teams)
-    primes = sieve.primes_up_to(limit, plan, allow_long)
-    res = primes % q
-    mat = np.zeros((len(teams), len(primes)), dtype=np.int64)
-    for i, t in enumerate(teams):
-        hit = np.isin(res, list(t.residues))
-        np.cumsum(hit, out=mat[i], dtype=np.int64)
-    return RaceLedger(q, list(teams), primes, mat, dense=True, limit=int(limit))
+    limit = sieve.check_limit(limit, allow_long)
+    chunks = functools.partial(_race_chunks, limit, q, list(teams), plan,
+                               allow_long)
+    return RaceLedger(q, teams, dense=True, limit=limit, chunks=chunks)
 
 
-def _states(ledger, place="first"):
-    """Index of the strict holder of a place per sample (-1 = tie), with a
-    virtual all-zero start.  place "first" tracks the leader, "last" the
-    trailing team."""
-    mat = ledger.counts
-    k = mat.shape[0]
-    if k == 1:
-        return np.zeros(mat.shape[1] + 1, dtype=np.int64)
+def _states(mat, place="first"):
+    """Index of the strict holder of a place per column of a count block
+    (-1 = tie).  place "first" tracks the leader, "last" the trailing
+    team."""
     if place == "first":
-        edge = mat.max(axis=0)
-        holder = mat.argmax(axis=0)
+        edge, holder = mat.max(axis=0), mat.argmax(axis=0)
     elif place == "last":
-        edge = mat.min(axis=0)
-        holder = mat.argmin(axis=0)
+        edge, holder = mat.min(axis=0), mat.argmin(axis=0)
     else:
         raise DomainError("place must be 'first' or 'last'")
     tied = (mat == edge).sum(axis=0) > 1
-    state = np.where(tied, -1, holder).astype(np.int64)
-    return np.concatenate(([-1], state))
+    return np.where(tied, -1, holder).astype(np.int64)
+
+
+def _flips(ledger, place, state):
+    """Yield (x, old, new) at every sample where the strict holder of
+    ``place`` changes, starting from ``state`` before the first sample."""
+    for xs, mat in ledger.chunks():
+        full = np.concatenate(([state], _states(mat, place)))
+        for i in np.flatnonzero(full[1:] != full[:-1]).tolist():
+            yield int(xs[i]), int(full[i]), int(full[i + 1])
+        state = full[-1]
 
 
 def _label(ledger, idx):
@@ -168,18 +195,16 @@ def _label(ledger, idx):
 
 
 def detect_lead_changes(ledger, place="first"):
-    """Every transition of strict leadership or into/out of ties, in order.
+    """Every transition of strict leadership or into/out of ties, in order,
+    from the all-zero start.
 
     With place="last" the events track the trailing position instead (the
     other statistic worth watching in a many-team race)."""
     if not ledger.dense:
         raise DomainError("lead-change detection needs a dense ledger")
-    state = _states(ledger, place)
-    flips = np.flatnonzero(state[1:] != state[:-1])
-    return [LeadChangeEvent(int(ledger.xs[i]),
-                            _label(ledger, state[i]),
-                            _label(ledger, state[i + 1]))
-            for i in flips]
+    start = 0 if len(ledger.teams) == 1 else -1  # all-zero counts tie
+    return [LeadChangeEvent(x, _label(ledger, old), _label(ledger, new))
+            for x, old, new in _flips(ledger, place, start)]
 
 
 def lead_windows(ledger, label):
@@ -192,20 +217,14 @@ def lead_windows(ledger, label):
     if not ledger.dense:
         raise DomainError("lead windows need a dense ledger")
     idx = ledger.labels.index(label)
-    state = _states(ledger)[1:]
-    xs = ledger.xs
-    windows = []
-    on = state == idx
-    if not on.any():
-        return windows
-    d = np.diff(on.astype(np.int8))
-    starts = np.flatnonzero(d == 1) + 1
-    ends = np.flatnonzero(d == -1) + 1
-    if on[0]:
-        starts = np.concatenate(([0], starts))
-    for s_i, e_i in zip(starts, list(ends) + [len(xs)]):
-        end_x = int(xs[e_i]) - 1 if e_i < len(xs) else int(ledger.limit)
-        windows.append((int(xs[s_i]), end_x))
+    windows, new = [], -1
+    for x, old, new in _flips(ledger, "first", -1):
+        if new == idx:
+            start = x
+        elif old == idx:
+            windows.append((start, x - 1))
+    if new == idx:
+        windows.append((start, int(ledger.limit)))
     return windows
 
 
@@ -269,26 +288,14 @@ def build_histogram(samples, bins, lo, hi):
     return Histogram(edges, counts.astype(np.int64), int(s.size), under, over)
 
 
-def _intervals(ledger, X):
-    """Constancy intervals of the dense count step functions, clipped to
-    [2, X]: arrays (starts, ends, sample_index) where index -1 is the
-    all-zero state before the first prime."""
-    xs = ledger.xs
-    n = int(np.searchsorted(xs, X, side="right"))
-    starts = np.concatenate(([2], xs[:n]))
-    ends = np.concatenate((xs[:n] - 1, [X]))
-    idx = np.arange(-1, n)
-    ok = starts <= ends
-    return starts[ok], ends[ok], idx[ok]
-
-
 def leader_density(ledger, condition, X, kind):
     """Density of {2 <= x <= X : condition} under the chosen measure.
 
-    ``condition`` maps the (teams x samples) count matrix to a boolean
-    per-sample array; between primes the counts (hence the predicate) are
-    constant.  kind "logarithmic" is (1/ln X) * sum 1/x over qualifying
-    integers (the exact sum, evaluated via digamma differences); kind
+    ``condition`` maps a (teams x samples) block of counts to a boolean
+    per-sample array; between samples the counts (hence the predicate) are
+    constant, so the qualifying integers form runs, found block by block.
+    kind "logarithmic" is (1/ln X) * sum 1/x over qualifying integers (the
+    exact sum, each run telescoped into one digamma difference); kind
     "natural" is the plain proportion of qualifying integers.
     """
     if X < 2:
@@ -297,20 +304,30 @@ def leader_density(ledger, condition, X, kind):
         raise DomainError("density needs a dense ledger")
     if X > ledger.limit:
         raise DomainError("X beyond the ledger limit")
-    flags = np.asarray(condition(ledger.counts), dtype=bool)
-    if flags.shape != ledger.xs.shape:
-        raise DomainError("condition must yield one flag per sample")
-    starts, ends, idx = _intervals(ledger, X)
-    zero_state = np.zeros((ledger.counts.shape[0], 1), dtype=np.int64)
-    flag0 = bool(np.asarray(condition(zero_state), dtype=bool)[0])
-    on = np.where(idx >= 0, flags[np.maximum(idx, 0)], flag0)
-    if kind == "logarithmic":
-        mass = np.sum((digamma(ends[on] + 1.0) - digamma(starts[on] * 1.0)))
-        value = float(mass / math.log(X))
-    elif kind == "natural":
-        value = float(np.sum(ends[on] - starts[on] + 1) / X)
-    else:
+    if kind not in ("logarithmic", "natural"):
         raise DomainError("kind must be 'logarithmic' or 'natural'")
+    zero_state = np.zeros((len(ledger.teams), 1), dtype=np.int64)
+    on = bool(np.asarray(condition(zero_state), dtype=bool)[0])
+    # starts and ends of the runs of qualifying integers
+    opened, closed = [np.array([2] if on else [], dtype=np.int64)], []
+    for xs, mat in ledger.chunks():
+        n = int(np.searchsorted(xs, X, side="right"))
+        flags = np.asarray(condition(mat[:, :n]), dtype=bool)
+        if flags.shape != (n,):
+            raise DomainError("condition must yield one flag per sample")
+        full = np.concatenate(([on], flags))
+        opened.append(xs[:n][full[1:] & ~full[:-1]])
+        closed.append(xs[:n][full[:-1] & ~full[1:]] - 1)
+        on = full[-1]
+        if n < len(xs):
+            break
+    starts = np.concatenate(opened)
+    ends = np.concatenate(closed + [np.array([X] if on else [], np.int64)])
+    if kind == "logarithmic":
+        mass = np.sum(digamma(ends + 1.0) - digamma(starts * 1.0))
+        value = float(mass / math.log(X))
+    else:
+        value = float(np.sum(ends - starts + 1) / X)
     return DensityEstimate(int(X), kind, value)
 
 

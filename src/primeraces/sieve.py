@@ -161,21 +161,6 @@ def count_primes(limit, plan=None, allow_long=False):
                    for _, _, seg in _segments(limit, plan))
 
 
-def enumerate_primes(limit, plan=None, visitor=None, allow_long=False):
-    """Invoke ``visitor`` once per prime <= limit, ascending; return pi(limit).
-
-    With ``visitor=None`` this is just ``count_primes``.
-    """
-    if visitor is None:
-        return count_primes(limit, plan, allow_long)
-    total = 0
-    for block in iter_prime_blocks(limit, plan, allow_long):
-        for p in block:
-            visitor(int(p))
-        total += len(block)
-    return total
-
-
 def _residue_offset(lo, q, a):
     """First index i >= 0 with lo + 2i == a (mod q), and the index stride."""
     if q % 2 == 1:
@@ -290,15 +275,6 @@ def pair_starts_by_gap(limit, gaps, plan=None, allow_long=False):
 def pair_starts(limit, gap, plan=None, allow_long=False):
     """All p <= limit with p, p+gap prime, as one ascending array."""
     return pair_starts_by_gap(limit, [gap], plan, allow_long)[0]
-
-
-def enumerate_prime_pairs(limit, gap, visitor=None, plan=None,
-                          allow_long=False):
-    """Count (and optionally visit) primes p <= limit with p+gap also prime."""
-    starts = pair_starts(limit, gap, plan, allow_long)
-    for p in starts if visitor is not None else ():
-        visitor(int(p))
-    return len(starts)
 
 
 # ---------------------------------------------------------------------------

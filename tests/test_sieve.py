@@ -18,9 +18,8 @@ def counts_map(limit, q, xs):
 
 
 def test_enumerate_smallest_prime():
-    seen = []
-    assert sieve.enumerate_primes(2, visitor=seen.append) == 1
-    assert seen == [2]
+    assert sieve.count_primes(2) == 1
+    assert sieve.primes_up_to(2).tolist() == [2]
 
 
 def test_enumerate_matches_trial_division(oracle_primes_1e5):
@@ -31,12 +30,12 @@ def test_enumerate_matches_trial_division(oracle_primes_1e5):
 
 def test_pi_10k_trial_division_oracle():
     # frozen from the trial-division oracle
-    assert sieve.enumerate_primes(10**4) == 1229
+    assert sieve.count_primes(10**4) == 1229
 
 
 def test_visitor_ascending_once_each():
-    seen = []
-    total = sieve.enumerate_primes(10**4, visitor=seen.append)
+    seen = sieve.primes_up_to(10**4).tolist()
+    total = sieve.count_primes(10**4)
     assert total == len(seen) == 1229
     assert seen == sorted(set(seen))
 
@@ -117,11 +116,11 @@ def test_progressions_count_the_prime_two():
 
 
 def test_pair_counts_small():
-    assert sieve.enumerate_prime_pairs(10, 2) == 2  # (3,5), (5,7)
-    assert sieve.enumerate_prime_pairs(1000, 2) == 35
-    assert sieve.enumerate_prime_pairs(1000, 6) == 74
+    assert len(sieve.pair_starts(10, 2)) == 2  # (3,5), (5,7)
+    assert len(sieve.pair_starts(1000, 2)) == 35
+    assert len(sieve.pair_starts(1000, 6)) == 74
     with pytest.raises(DomainError):
-        sieve.enumerate_prime_pairs(1000, 3)
+        sieve.pair_starts(1000, 3)
     for gaps in ([2, 2], [], [2, 3]):
         with pytest.raises(DomainError):
             sieve.count_pairs_by_gap(100, gaps, [100])
@@ -131,8 +130,7 @@ def test_pair_counts_small():
 
 def test_pair_visitor_values(oracle_primes_1e5):
     ps = set(int(p) for p in oracle_primes_1e5)
-    seen = []
-    sieve.enumerate_prime_pairs(500, 4, visitor=seen.append)
+    seen = sieve.pair_starts(500, 4).tolist()
     expected = [p for p in sorted(ps) if p <= 500 and p + 4 in ps]
     assert seen == expected
 
@@ -141,8 +139,8 @@ def test_pair_visitor_values(oracle_primes_1e5):
 def test_pair_counts_segment_invariance(segment_size):
     plan = sieve.SegmentPlan(segment_size=segment_size)
     for gap in (2, 6, 30):
-        assert sieve.enumerate_prime_pairs(10**5, gap, plan=plan) == \
-            sieve.enumerate_prime_pairs(10**5, gap)
+        assert len(sieve.pair_starts(10**5, gap, plan=plan)) == \
+            len(sieve.pair_starts(10**5, gap))
 
 
 def test_count_invariance_under_segment_size():
