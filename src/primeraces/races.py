@@ -202,7 +202,7 @@ def detect_lead_changes(ledger, place="first"):
     other statistic worth watching in a many-team race)."""
     if not ledger.dense:
         raise DomainError("lead-change detection needs a dense ledger")
-    start = 0 if len(ledger.teams) == 1 else -1  # all-zero counts tie
+    start = 0 if len(ledger.teams) == 1 else -1  # a lone team never ties
     return [LeadChangeEvent(x, _label(ledger, old), _label(ledger, new))
             for x, old, new in _flips(ledger, place, start)]
 
