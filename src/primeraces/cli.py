@@ -8,6 +8,9 @@ Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
 non-convergence.  Point and sample counts (geometric:lo:hi:n checkpoints,
 histogram samples, --points, sawtooth --waves, walk --steps and --trials)
 above 10^5 are a capacity error, raised before anything is allocated.
+walk --teams is uncapped: a walk costs O(trials x steps) whatever the team
+count, and with more teams than steps no trial can return, so nothing is
+drawn.
 """
 
 import argparse

@@ -169,15 +169,20 @@ def run_dense_race(limit, q, teams, plan=None, allow_long=False):
 def _states(mat, place="first"):
     """Index of the strict holder of a place per column of a count block
     (-1 = tie).  place "first" tracks the leader, "last" the trailing
-    team."""
-    if place == "first":
-        edge, holder = mat.max(axis=0), mat.argmax(axis=0)
-    elif place == "last":
-        edge, holder = mat.min(axis=0), mat.argmin(axis=0)
-    else:
+    team.  One pass per row over contiguous memory: a row strictly past
+    the edge takes the place, a row level with it makes a tie."""
+    if place not in ("first", "last"):
         raise DomainError("place must be 'first' or 'last'")
-    tied = (mat == edge).sum(axis=0) > 1
-    return np.where(tied, -1, holder).astype(np.int64)
+    past, bound = ((np.greater, np.maximum) if place == "first"
+                   else (np.less, np.minimum))
+    edge = mat[0].copy()
+    state = np.zeros(mat.shape[1], dtype=np.int64)
+    for i in range(1, mat.shape[0]):
+        row = mat[i]
+        np.putmask(state, row == edge, -1)
+        np.putmask(state, past(row, edge), i)
+        bound(edge, row, out=edge)
+    return state
 
 
 def _flips(ledger, place, state):
@@ -365,43 +370,74 @@ def splitmix64(seed, start, count):
 
     Counter-based, so any subsequence is reproducible independent of how
     the stream is chunked; this is the PRNG fixed for all walk trials.
+    ``seed`` may also be a 1-d array of uint64 seeds: the result then has
+    one stream per row, each equal to the scalar call with that seed.
     """
+    if np.ndim(seed):
+        seed = np.asarray(seed, dtype=np.uint64)[:, None]
+    else:
+        seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         n = np.arange(start, start + count, dtype=np.uint64)
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (n + np.uint64(1)) * _SM_GAMMA
+        z = seed + (n + np.uint64(1)) * _SM_GAMMA
         z = (z ^ (z >> np.uint64(30))) * _SM_M1
         z = (z ^ (z >> np.uint64(27))) * _SM_M2
         return z ^ (z >> np.uint64(31))
 
 
-def _trial_seed(seed, trial):
-    return int(splitmix64(seed, trial, 1)[0])
+#: trial x step cells drawn per block of the walk; bounds its memory
+#: whatever the team and trial counts
+_WALK_CELLS = 1 << 16
+
+
+def _first_returns(seeds, k, rounds, out):
+    """Write into ``out`` the first return step of each seed's walk within
+    ``rounds`` rounds of k steps (0 = none).
+
+    Only the end of a round can be a return: after r rounds the walk is at
+    the origin iff every team was chosen exactly r times.  Live trials are
+    drawn in blocks of rounds that double in size, each block tallied by
+    one bincount into a (trials, k, rounds) grid of per-round team counts;
+    a trial leaves the live set at its first return.
+    """
+    live = np.arange(len(seeds))
+    carry = np.zeros((len(seeds), k, 1), dtype=np.int64)
+    done, m = 0, 1
+    while len(live) and done < rounds:
+        m = min(m, rounds - done, max(1, _WALK_CELLS // (len(live) * k)))
+        picks = (splitmix64(seeds[live], done * k, m * k)
+                 % np.uint64(k)).astype(np.intp)
+        picks *= m
+        picks += np.arange(m * k) // k
+        picks += np.arange(0, len(live) * k * m, k * m)[:, None]
+        tally = np.bincount(picks.ravel(), minlength=len(live) * k * m)
+        tally = np.cumsum(tally.reshape(len(live), k, m), axis=2) + carry
+        level = (tally == np.arange(done + 1, done + m + 1)).all(axis=1)
+        hit = level.any(axis=1)
+        out[live[hit]] = (done + 1 + level[hit].argmax(axis=1)) * k
+        live, carry = live[~hit], tally[~hit, :, -1:]
+        done, m = done + m, 2 * m
 
 
 def simulate_tie_walk(config):
     """Run the tie-model walk: per step one of k vectors, chosen uniformly,
     is added to the (k-1)-dimensional count-difference vector; record
-    whether and when each trial first returns to the origin."""
-    k = config.teams
-    dim = k - 1
-    out = []
-    for trial in range(config.trials):
-        if config.steps == 0:
-            out.append(WalkTrial(False, None))
-            continue
-        choices = splitmix64(_trial_seed(config.seed, trial), 0,
-                             config.steps) % np.uint64(k)
-        choices = choices.astype(np.min_scalar_type(k - 1))
-        at_origin = np.ones(config.steps, dtype=bool)
-        for d in range(dim):
-            delta = (choices == d).astype(np.int32) - (choices == d + 1)
-            at_origin &= np.cumsum(delta) == 0
-        hits = np.flatnonzero(at_origin)
-        if len(hits):
-            out.append(WalkTrial(True, int(hits[0]) + 1))
-        else:
-            out.append(WalkTrial(False, None))
-    return out
+    whether and when each trial first returns to the origin.
+
+    Trial t draws its steps from the SplitMix64 stream seeded by output t
+    of ``config.seed``'s stream.  Each trial stops at its first return, so
+    the cost is O(trials x steps) whatever k; with k > steps no trial can
+    return and nothing is drawn."""
+    k, rounds = config.teams, config.steps // config.teams
+    first = np.zeros(config.trials, dtype=np.int64)
+    if rounds:
+        seeds = splitmix64(config.seed, 0, config.trials)
+        group = max(1, _WALK_CELLS // k)
+        for lo in range(0, config.trials, group):
+            _first_returns(seeds[lo:lo + group], k, rounds,
+                           first[lo:lo + group])
+    return [WalkTrial(True, f) if f else WalkTrial(False, None)
+            for f in first.tolist()]
 
 
 def return_fraction(trials):

@@ -168,8 +168,14 @@ def log_grid(lo, hi, points):
 # ---------------------------------------------------------------------------
 # artifact emission: series CSV and a dependency-free SVG line chart
 
+#: rows formatted per string operation: as fast as the whole table at once,
+#: which would hold every row's text and floats in memory together
+_CSV_ROWS = 1024
+
+
 def write_series_csv(path_or_file, x_grid, columns):
-    """columns: ordered (name, values) pairs aligned with x_grid."""
+    """columns: ordered (name, values) pairs aligned with x_grid.  Every
+    cell is written as "%.10g"."""
     close = False
     fh = path_or_file
     if isinstance(path_or_file, (str, bytes)):
@@ -178,9 +184,13 @@ def write_series_csv(path_or_file, x_grid, columns):
     try:
         names = [name for name, _ in columns]
         fh.write("x," + ",".join(names) + "\n")
-        for i, x in enumerate(x_grid):
-            row = ",".join("%.10g" % vals[i] for _, vals in columns)
-            fh.write("%.10g,%s\n" % (x, row))
+        series = [x_grid] + [vals for _, vals in columns]
+        row = ",".join(["%.10g"] * len(series)) + "\n"
+        for lo in range(0, len(x_grid), _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, len(x_grid))
+            block = np.column_stack([np.asarray(v[lo:hi], dtype=float)
+                                     for v in series])
+            fh.write(row * (hi - lo) % tuple(block.ravel().tolist()))
     finally:
         if close:
             fh.close()

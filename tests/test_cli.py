@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -216,6 +217,16 @@ def test_walk_deterministic_artifact(capsys):
     assert out1 == out2
     obj = json.loads(out1)
     assert obj["returned"] <= 40 and obj["seed"] == 7
+
+
+def test_walk_more_teams_than_steps_is_fast(capsys):
+    # --teams is uncapped: a walk costs O(trials x steps) whatever k
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "walk", "--teams", "10000000", "--steps",
+                           "10", "--trials", "1")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    obj = json.loads(out)
+    assert (obj["returned"], obj["mean_first_return"]) == (0, None)
 
 
 def test_psi_row(capsys):

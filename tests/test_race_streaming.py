@@ -18,6 +18,7 @@ import pytest
 from scipy.special import digamma
 
 from primeraces import pairs, races, sieve
+from primeraces.errors import DomainError
 
 TEAMS4 = [races.TeamSpec("3", {3}), races.TeamSpec("1", {1})]
 
@@ -179,6 +180,23 @@ def test_streaming_pair_race_matches_the_union_of_starts_ledger():
             assert got == old_events(xs, mat, labels, place), where
         assert np.array_equal(ledger.xs, xs) and \
             np.array_equal(ledger.counts, mat), where
+
+
+def test_states_match_the_argmax_reduction():
+    # small increments keep many columns tied at the edge, and between
+    # rows that are not neighbours
+    rng = np.random.default_rng(11)
+    for k in range(1, 7):
+        for _ in range(40):
+            n = int(rng.integers(0, 200))
+            mat = np.cumsum(rng.integers(0, 2, size=(k, n)), axis=1)
+            for place in ("first", "last"):
+                got = races._states(mat, place)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, old_states(mat, place)[1:]), \
+                    (k, n, place)
+    with pytest.raises(DomainError):
+        races._states(np.zeros((2, 3), dtype=np.int64), "middle")
 
 
 # --- memory ------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_walk_many_teams_matches_direct_count():
     trials = races.simulate_tie_walk(races.WalkConfig(k, steps, 5, 3))
     for trial, got in enumerate(trials):
         counts, first = [0] * k, None
-        picks = races.splitmix64(races._trial_seed(3, trial), 0, steps)
+        picks = races.splitmix64(races.splitmix64(3, 0, 5)[trial], 0, steps)
         for step, c in enumerate(picks, start=1):
             counts[int(c) % k] += 1
             if first is None and min(counts) == max(counts):

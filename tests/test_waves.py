@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -293,3 +294,30 @@ def test_series_csv_and_svg(tmp_path):
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     assert 'viewBox="0 0 800 400"' in svg
     assert waves.render_series_svg(grid, cols, title="demo") == svg
+
+
+def old_write_series_csv(fh, x_grid, columns):
+    fh.write("x," + ",".join(name for name, _ in columns) + "\n")
+    for i, x in enumerate(x_grid):
+        row = ",".join("%.10g" % vals[i] for _, vals in columns)
+        fh.write("%.10g,%s\n" % (x, row))
+
+
+def test_series_csv_matches_the_per_row_writer():
+    # a partial last block, and the values whose text is easy to get wrong
+    rng = np.random.default_rng(3)
+    n = 2 * waves._CSV_ROWS + 37
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1e300, 1e300]
+    cols = [("a", rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)),
+            ("b", rng.choice(special, n)), ("c", rng.integers(-9, 9, n))]
+    grid = np.sort(rng.uniform(2, 1e7, n))
+    grid[::5] = rng.choice(special, len(grid[::5]))
+    want, got = io.StringIO(), io.StringIO()
+    old_write_series_csv(want, grid, cols)
+    waves.write_series_csv(got, grid, cols)
+    assert got.getvalue() == want.getvalue()
+    for m in (0, 1, waves._CSV_ROWS):
+        want, got = io.StringIO(), io.StringIO()
+        old_write_series_csv(want, grid[:m], cols)
+        waves.write_series_csv(got, grid[:m], cols)
+        assert got.getvalue() == want.getvalue()
