@@ -385,8 +385,9 @@ def splitmix64(seed, start, count):
         return z ^ (z >> np.uint64(31))
 
 
-#: trial x step cells drawn per block of the walk; bounds its memory
-#: whatever the team and trial counts
+#: trial x step cells drawn per block of the walk, and trial x team counts
+#: carried per group of trials: bounds its memory whatever the team and
+#: trial counts (larger blocks fall out of cache and run slower)
 _WALK_CELLS = 1 << 16
 
 
