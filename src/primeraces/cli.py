@@ -5,9 +5,10 @@ emits CSV (default), JSON, or SVG.  Artifacts are deterministic: identical
 invocations with identical seeds produce identical bytes.
 
 Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
-non-convergence.  Point and sample counts (geometric:lo:hi:n checkpoints,
-histogram samples, --points, sawtooth --waves, walk --steps and --trials)
-above 10^5 are a capacity error, raised before anything is allocated.
+non-convergence; each error class in primeraces.errors carries its code.
+Point and sample counts (geometric:lo:hi:n checkpoints, histogram samples,
+--points, sawtooth --waves, walk --steps and --trials) above 10^5 are a
+capacity error, raised before anything is allocated.
 walk --teams is uncapped: a walk costs O(trials x steps) whatever the team
 count, and with more teams than steps no trial can return, so nothing is
 drawn.
@@ -25,8 +26,7 @@ import numpy as np
 
 from . import lfunctions as lf
 from . import pairs, presets, races, sieve, waves
-from .errors import (CapacityError, ConvergenceError, DomainError,
-                     ParseError)
+from .errors import CapacityError, DomainError, PrimeRacesError
 
 # The imports above leave ~40k objects whose first full collection is due
 # within a few thousand allocations; run it at start-up, not inside the
@@ -38,21 +38,34 @@ gc.collect()
 COUNT_CAP = 10**5
 
 
-def _emit(args, text):
-    if getattr(args, "out", None):
-        path = args.out
-        cache = os.environ.get("PRIME_RACES_CACHE")
-        if cache and not os.path.isabs(path):
-            os.makedirs(cache, exist_ok=True)
-            path = os.path.join(cache, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _emit(out, text):
+    if not out:
         sys.stdout.write(text)
+        return
+    cache = os.environ.get("PRIME_RACES_CACHE")
+    if cache and not os.path.isabs(out):
+        os.makedirs(cache, exist_ok=True)
+        out = os.path.join(cache, out)
+    _write(out, text)
 
 
 def _json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _events(events, fmt, obj):
+    """Lead-change events as CSV x,prev,next, or `obj` plus them as JSON."""
+    if fmt != "json":
+        return "".join("%d,%s,%s\n" % (e.x, e.previous_leader, e.new_leader)
+                       for e in events)
+    obj["events"] = [{"x": e.x, "prev": e.previous_leader,
+                      "next": e.new_leader} for e in events]
+    return _json(obj)
 
 
 def _check_count(n, what):
@@ -148,32 +161,27 @@ def cmd_pi(args):
     q = 1 if args.modulus is None else args.modulus
     rows = sieve.count_in_progressions(limit, q, cks,
                                        allow_long=args.allow_long)
+    if args.checkpoint_file:
+        _write(args.checkpoint_file, sieve.format_checkpoints(rows))
     if args.modulus is not None:
-        if args.checkpoint_file:
-            sieve.checkpoint_save(rows, args.checkpoint_file)
         if args.format == "json":
-            _emit(args, _json({"modulus": args.modulus, "rows": [
+            return _json({"modulus": args.modulus, "rows": [
                 {"x": rc.x, "counts": {str(a): c
                                        for a, c in sorted(rc.counts.items())}}
-                for rc in rows]}))
-        else:
-            _emit(args, sieve.format_checkpoints(rows))
-        return 0
+                for rc in rows]})
+        return sieve.format_checkpoints(rows)
     rows = [(rc.x, rc.counts[0]) for rc in rows]
     if args.format == "json":
-        _emit(args, _json({"rows": [{"x": x, "pi": c} for x, c in rows]}))
-    else:
-        _emit(args, "".join("%d,%d\n" % r for r in rows))
-    return 0
+        return _json({"rows": [{"x": x, "pi": c} for x, c in rows]})
+    return "".join("%d,%d\n" % r for r in rows)
 
 
 def cmd_race(args):
     limit = _parse_limit(args.limit)
     teams = _parse_teams(args.teams, args.modulus)
-    dense = args.dense or args.events or bool(args.density)
-    if dense and not (args.events or args.density):
+    if args.dense and not (args.events or args.density):
         raise DomainError("dense mode emits --events or --density artifacts")
-    if dense:
+    if args.events or args.density:
         ledger = races.run_dense_race(limit, args.modulus, teams,
                                       allow_long=args.allow_long)
     else:
@@ -182,60 +190,39 @@ def cmd_race(args):
                                              allow_long=args.allow_long)
         ledger = races.run_race(counts, teams)
 
-    payload = {}
-    if args.events:
-        payload["events"] = races.detect_lead_changes(ledger)
-    if args.density:
+    obj = {"modulus": args.modulus, "teams": ledger.labels}
+    events = races.detect_lead_changes(ledger) if args.events else None
+    # CSV events carry no density, so it is computed only when emitted
+    if args.density and (args.format == "json" or events is None):
         kind = "logarithmic" if args.density == "log" else "natural"
-        est = races.leader_density(ledger, races.strictly_ahead(0),
-                                   limit, kind)
-        payload["density"] = est
-
+        d = races.leader_density(ledger, races.strictly_ahead(0), limit, kind)
+        obj["density"] = {"X": d.X, "kind": d.kind, "value": d.value}
+    if events is not None:
+        return _events(events, args.format, obj)
+    if args.density:
+        return _json(obj if args.format == "json" else obj["density"])
     if args.format == "json":
-        obj = {"modulus": args.modulus, "teams": ledger.labels}
-        if "events" in payload:
-            obj["events"] = [{"x": e.x, "prev": e.previous_leader,
-                              "next": e.new_leader}
-                             for e in payload["events"]]
-        if "density" in payload:
-            d = payload["density"]
-            obj["density"] = {"X": d.X, "kind": d.kind, "value": d.value}
-        if not payload:
-            obj["rows"] = [
-                {"x": int(x), "counts": {lab: int(ledger.counts[i, j])
-                                         for i, lab in
-                                         enumerate(ledger.labels)}}
-                for j, x in enumerate(ledger.xs)]
-        _emit(args, _json(obj))
-        return 0
-    if "events" in payload:
-        _emit(args, "".join("%d,%s,%s\n" % (e.x, e.previous_leader,
-                                            e.new_leader)
-                            for e in payload["events"]))
-        return 0
-    if "density" in payload:
-        d = payload["density"]
-        _emit(args, _json({"X": d.X, "kind": d.kind, "value": d.value}))
-        return 0
+        obj["rows"] = [
+            {"x": int(x), "counts": {lab: int(ledger.counts[i, j])
+                                     for i, lab in enumerate(ledger.labels)}}
+            for j, x in enumerate(ledger.xs)]
+        return _json(obj)
     buf = io.StringIO()
     for j, x in enumerate(ledger.xs):
         cols = ",".join("%s:%d" % (lab, ledger.counts[i, j])
                         for i, lab in enumerate(ledger.labels))
         buf.write("%d,%s\n" % (x, cols))
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def cmd_zeros(args):
     table = lf.find_zeros(lf._parse_lid(args.lfunction), args.tmax)
     if args.format == "json":
-        _emit(args, _json({"lfunction": str(table.id),
-                           "precision": table.precision,
-                           "ordinates": [round(float(g), 9)
-                                         for g in table.ordinates]}))
-        return 0
-    _emit(args, lf.format_zero_table(table))
-    return 0
+        return _json({"lfunction": str(table.id),
+                      "precision": table.precision,
+                      "ordinates": [round(float(g), 9)
+                                    for g in table.ordinates]})
+    return lf.format_zero_table(table)
 
 
 def cmd_explicit(args):
@@ -267,27 +254,25 @@ def cmd_explicit(args):
                                   "correlation": st.correlation,
                                   "sign_agreement": st.sign_agreement}
     if args.format == "svg":
-        _emit(args, waves.render_series_svg(
+        text = waves.render_series_svg(
             grid, columns, title="%s, zeros from %s"
-            % (args.target, os.path.basename(args.zeros))))
+            % (args.target, os.path.basename(args.zeros)))
     elif args.format == "json":
-        _emit(args, _json({
+        text = _json({
             "target": args.target,
             "x": [round(float(x), 6) for x in grid],
             "series": {name: [round(float(v), 10) for v in vals]
                        for name, vals in columns},
-            "stats": stats}))
+            "stats": stats})
     else:
         buf = io.StringIO()
         waves.write_series_csv(buf, grid, columns)
-        _emit(args, buf.getvalue())
-    stats_text = _json(stats)
+        text = buf.getvalue()
     if args.stats_out:
-        with open(args.stats_out, "w", encoding="utf-8") as fh:
-            fh.write(stats_text)
+        _write(args.stats_out, _json(stats))
     elif args.format != "json":
-        sys.stderr.write(stats_text)
-    return 0
+        sys.stderr.write(_json(stats))
+    return text
 
 
 def cmd_twins(args):
@@ -297,28 +282,18 @@ def cmd_twins(args):
         ledger, events = pairs.pair_race(gaps, limit, dense=True,
                                          allow_long=args.allow_long,
                                          place=args.place)
-        if args.format == "json":
-            _emit(args, _json({"gaps": gaps, "events": [
-                {"x": e.x, "prev": e.previous_leader, "next": e.new_leader}
-                for e in events]}))
-        else:
-            _emit(args, "".join("%d,%s,%s\n"
-                                % (e.x, e.previous_leader, e.new_leader)
-                                for e in events))
-        return 0
+        return _events(events, args.format, {"gaps": gaps})
     cks = _parse_checkpoints(args.checkpoints, limit)
     rows = pairs.twin_table(gaps, cks, limit, allow_long=args.allow_long)
     if args.format == "json":
-        _emit(args, _json({"rows": rows}))
-        return 0
+        return _json({"rows": rows})
     buf = io.StringIO()
     buf.write("x,gap,raw,normalized,hl_prediction,difference\n")
     for r in rows:
         buf.write("%d,%d,%d,%.6f,%.6f,%.6f\n"
                   % (r["x"], r["gap"], r["raw"], r["normalized"],
                      r["hl_prediction"], r["difference"]))
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def cmd_histogram(args):
@@ -337,20 +312,18 @@ def cmd_histogram(args):
     lo, hi = _parse_range(args.range)
     hist = races.build_histogram(samples, args.bins, lo, hi)
     if args.format == "json":
-        _emit(args, _json({"edges": [round(e, 12) for e in hist.bin_edges],
-                           "counts": hist.counts.tolist(),
-                           "total": hist.total,
-                           "underflow": hist.underflow,
-                           "overflow": hist.overflow}))
-        return 0
+        return _json({"edges": [round(e, 12) for e in hist.bin_edges],
+                      "counts": hist.counts.tolist(),
+                      "total": hist.total,
+                      "underflow": hist.underflow,
+                      "overflow": hist.overflow})
     buf = io.StringIO()
     buf.write("# total=%d underflow=%d overflow=%d\n"
               % (hist.total, hist.underflow, hist.overflow))
     for i in range(len(hist.counts)):
         buf.write("%.6f,%.6f,%d\n" % (hist.bin_edges[i],
                                       hist.bin_edges[i + 1], hist.counts[i]))
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def cmd_walk(args):
@@ -358,16 +331,14 @@ def cmd_walk(args):
                            _check_count(args.trials, "--trials"), args.seed)
     trials = races.simulate_tie_walk(cfg)
     returned = [t for t in trials if t.returned_to_origin]
-    summary = {
+    return _json({
         "teams": args.teams, "steps": args.steps, "trials": args.trials,
         "seed": args.seed,
         "returned": len(returned),
         "return_fraction": len(returned) / len(trials),
         "mean_first_return": (sum(t.first_return_step for t in returned)
                               / len(returned)) if returned else None,
-    }
-    _emit(args, _json(summary))
-    return 0
+    })
 
 
 def cmd_psi(args):
@@ -379,11 +350,9 @@ def cmd_psi(args):
         v = lf.chebyshev_psi(x, primes)
         rows.append((x, round(v), round(v) - x))
     if args.format == "json":
-        _emit(args, _json({"rows": [{"x": x, "psi": p, "difference": d}
-                                    for x, p, d in rows]}))
-    else:
-        _emit(args, "".join("%d,%d,%d\n" % r for r in rows))
-    return 0
+        return _json({"rows": [{"x": x, "psi": p, "difference": d}
+                               for x, p, d in rows]})
+    return "".join("%d,%d,%d\n" % r for r in rows)
 
 
 def cmd_sawtooth(args):
@@ -394,22 +363,19 @@ def cmd_sawtooth(args):
     vals = [waves.sawtooth_partial_sum(x, args.waves) for x in xs]
     target = [x - 0.5 for x in xs]
     if args.format == "svg":
-        _emit(args, waves.render_series_svg(
+        return waves.render_series_svg(
             xs, [("partial_sum", vals), ("target", target)],
-            title="sawtooth, %d waves" % args.waves, log_x=False))
-        return 0
+            title="sawtooth, %d waves" % args.waves, log_x=False)
     if args.format == "json":
-        _emit(args, _json({"waves": args.waves,
-                           "x": [round(x, 8) for x in xs],
-                           "partial_sum": [round(v, 10) for v in vals],
-                           "target": [round(t, 10) for t in target]}))
-        return 0
+        return _json({"waves": args.waves,
+                      "x": [round(x, 8) for x in xs],
+                      "partial_sum": [round(v, 10) for v in vals],
+                      "target": [round(t, 10) for t in target]})
     buf = io.StringIO()
     buf.write("x,partial_sum,target\n")
     for x, v, t in zip(xs, vals, target):
         buf.write("%.8f,%.10f,%.10f\n" % (x, v, t))
-    _emit(args, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +386,8 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt=("csv", "json"), allow_long=True):
+    def common(sp, func, fmt=("csv", "json"), allow_long=True):
+        sp.set_defaults(func=func)
         sp.add_argument("--format", choices=fmt, default="csv")
         sp.add_argument("--out", help="output path (default stdout); "
                         "relative paths resolve under $PRIME_RACES_CACHE")
@@ -435,8 +402,7 @@ def build_parser():
     sp.add_argument("--checkpoints")
     sp.add_argument("--checkpoint-file",
                     help="also save rows as a checkpoint file")
-    common(sp)
-    sp.set_defaults(func=cmd_pi)
+    common(sp, cmd_pi)
 
     sp = sub.add_parser("race", help="team races, lead changes, densities")
     sp.add_argument("--modulus", type=int, required=True)
@@ -448,14 +414,12 @@ def build_parser():
     sp.add_argument("--dense", action="store_true")
     sp.add_argument("--events", action="store_true")
     sp.add_argument("--density", choices=["log", "natural"])
-    common(sp)
-    sp.set_defaults(func=cmd_race)
+    common(sp, cmd_race)
 
     sp = sub.add_parser("zeros", help="critical-line zero ordinates")
     sp.add_argument("--lfunction", required=True)
     sp.add_argument("--tmax", type=float, required=True)
-    common(sp, allow_long=False)
-    sp.set_defaults(func=cmd_zeros)
+    common(sp, cmd_zeros, allow_long=False)
 
     sp = sub.add_parser("explicit", help="wave-sum approximations vs truth")
     sp.add_argument("--zeros", required=True, help="zero-table file")
@@ -464,8 +428,7 @@ def build_parser():
     sp.add_argument("--points", type=int, default=500)
     sp.add_argument("--truncations", default="10,100")
     sp.add_argument("--stats-out", help="write error stats JSON here")
-    common(sp, fmt=("csv", "json", "svg"))
-    sp.set_defaults(func=cmd_explicit)
+    common(sp, cmd_explicit, fmt=("csv", "json", "svg"))
 
     sp = sub.add_parser("twins", help="prime-pair counts and the race")
     sp.add_argument("--limit", required=True)
@@ -474,8 +437,7 @@ def build_parser():
     sp.add_argument("--race", action="store_true",
                     help="emit dense place-change events")
     sp.add_argument("--place", choices=["first", "last"], default="first")
-    common(sp)
-    sp.set_defaults(func=cmd_twins)
+    common(sp, cmd_twins)
 
     sp = sub.add_parser("histogram", help="normalized race-gap histogram")
     sp.add_argument("--modulus", type=int, default=4)
@@ -483,47 +445,35 @@ def build_parser():
     sp.add_argument("--samples", default="arith:1000:1000:1000")
     sp.add_argument("--bins", type=int, default=40)
     sp.add_argument("--range", default="-1:3")
-    common(sp)
-    sp.set_defaults(func=cmd_histogram)
+    common(sp, cmd_histogram)
 
     sp = sub.add_parser("walk", help="tie-model lattice walk")
     sp.add_argument("--teams", type=int, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, fmt=("json",), allow_long=False)
-    sp.set_defaults(func=cmd_walk)
+    common(sp, cmd_walk, fmt=("json",), allow_long=False)
 
     sp = sub.add_parser("psi", help="prime-power log sums vs x")
     sp.add_argument("--limit", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_psi)
+    common(sp, cmd_psi)
 
     sp = sub.add_parser("sawtooth", help="Fourier wave demo for x - 1/2")
     sp.add_argument("--waves", type=int, required=True)
     sp.add_argument("--points", type=int, default=200)
-    common(sp, fmt=("csv", "json", "svg"), allow_long=False)
-    sp.set_defaults(func=cmd_sawtooth)
+    common(sp, cmd_sawtooth, fmt=("csv", "json", "svg"), allow_long=False)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; write its artifact or map its error to a code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DomainError as exc:
+        _emit(args.out, args.func(args))
+    except (PrimeRacesError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except (ParseError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
-    except ConvergenceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 5
+        return getattr(exc, "exit_code", 4)  # OSError: I/O, 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from primeraces import cli
 
+GOLDEN = Path(__file__).with_name("golden")
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -66,6 +68,19 @@ def test_pi_checkpoint_file_round_trip(tmp_path, capsys):
     assert rows[0].counts == {1: 11, 3: 13}
 
 
+def test_pi_checkpoint_file_without_modulus(tmp_path, capsys):
+    # q = 1: the file holds the plain counts under the residue 0
+    path = tmp_path / "t.chk"
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1000", "--checkpoints",
+                           "100,1000", "--checkpoint-file", str(path))
+    assert code == 0 and out == "100,25\n1000,168\n"
+    assert path.read_text() == "# modulus=1\n100,0:25\n1000,0:168\n"
+    from primeraces import sieve
+    rows = sieve.checkpoint_load(path)
+    assert [(rc.modulus, rc.x, rc.counts) for rc in rows] == \
+        [(1, 100, {0: 25}), (1, 1000, {0: 168})]
+
+
 def test_race_events(capsys):
     code, out, _ = run_cli(capsys, "race", "--modulus", "4", "--teams",
                            "3:1", "--limit", "30000", "--dense", "--events")
@@ -73,6 +88,18 @@ def test_race_events(capsys):
     lines = out.strip().splitlines()
     first_team1 = next(l for l in lines if l.endswith(",1"))
     assert first_team1.startswith("26861,")
+
+
+def test_csv_events_skip_the_density(capsys, monkeypatch):
+    # CSV events carry no density, so none is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("density computed but not emitted")
+    monkeypatch.setattr(cli.races, "leader_density", refuse)
+    code, out, _ = run_cli(capsys, "race", "--modulus", "4", "--teams",
+                           "3:1", "--limit", "1e6", "--events",
+                           "--density", "log")
+    assert code == 0
+    assert out == (GOLDEN / "race_mod4_events.csv").read_text()
 
 
 def test_race_overlap_usage_error(capsys):
@@ -269,7 +296,7 @@ def test_usage_exit_code_for_bad_flags():
 # ---------------------------------------------------------------------------
 # bad input: a usage error (exit 2), never a traceback
 
-ZEROS = str(Path(__file__).with_name("golden") / "zeros_zeta.zeros")
+ZEROS = str(GOLDEN / "zeros_zeta.zeros")
 EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
             "--range", "1e3:1e4", "--points", "5"]
 
@@ -385,3 +412,34 @@ def test_fuzz_exit_codes_without_traceback(shape, value):
             code = exc.code
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one error path: each error's exit code, empty stdout, stderr "error: ..."
+
+def test_malformed_zeros_file_is_parse_error(tmp_path, capsys):
+    zeros = tmp_path / "bad.zeros"
+    zeros.write_text("# lfunction=zeta\n14.134725142\n21.0x\n")
+    code, out, err = run_cli(capsys, *(["explicit", "--zeros", str(zeros)]
+                                       + EXPLICIT[3:]))
+    assert code == 4
+    assert out == "" and err.startswith("error: ") and "line 3:" in err
+
+
+def test_out_into_missing_directory_is_io_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "pi", "--limit", "100", "--out",
+                             str(tmp_path / "no" / "such" / "pi.csv"))
+    assert code == 4
+    assert out == "" and err.startswith("error: ")
+
+
+def test_convergence_error_exits_five(capsys, monkeypatch):
+    from primeraces.errors import ConvergenceError
+
+    def stuck(*args, **kwargs):
+        raise ConvergenceError("bracket did not shrink")
+    monkeypatch.setattr(cli.lf, "find_zeros", stuck)
+    code, out, err = run_cli(capsys, "zeros", "--lfunction", "zeta",
+                             "--tmax", "30")
+    assert code == 5
+    assert out == "" and err == "error: bracket did not shrink\n"

@@ -1,6 +1,6 @@
 """Golden CLI artifacts: every case runs one command through ``cli.main`` at
-desk size and compares each file it writes, byte for byte, with the copy in
-``tests/golden/``.
+desk size, with and without ``-v``, and compares each file it writes, byte
+for byte, with the copy in ``tests/golden/``.
 
 After a deliberate change of output, regenerate the copies with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -67,9 +67,7 @@ def _run(out, command):
     return cli.main(shlex.split(command) + ["--out", out])
 
 
-@pytest.mark.parametrize("out,command,extra", CASES,
-                         ids=[c[0] for c in CASES])
-def test_golden_artifact(out, command, extra, tmp_path, monkeypatch):
+def _check(out, command, extra, tmp_path, monkeypatch):
     monkeypatch.delenv("PRIME_RACES_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)
     assert _run(out, command) == 0
@@ -78,6 +76,19 @@ def test_golden_artifact(out, command, extra, tmp_path, monkeypatch):
     for name in names:
         assert (tmp_path / name).read_bytes() == \
             (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("out,command,extra", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_artifact(out, command, extra, tmp_path, monkeypatch):
+    _check(out, command, extra, tmp_path, monkeypatch)
+
+
+# -v may report on stderr, never change an artifact
+@pytest.mark.parametrize("out,command,extra", CASES,
+                         ids=[c[0] for c in CASES])
+def test_golden_artifact_verbose(out, command, extra, tmp_path, monkeypatch):
+    _check(out, command + " -v", extra, tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":

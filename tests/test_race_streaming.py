@@ -233,3 +233,25 @@ def test_mod4_lead_era_near_952_million():
     assert (after[0].x, after[0].previous_leader, after[0].new_leader) == \
         (952_223_491, "1", "tie")
     assert (after[1].x - 1, after[1].new_leader) == (952_223_506, "3")
+
+
+@pytest.mark.skipif(os.environ.get("PRIMERACES_SLOW") != "1",
+                    reason="sieves 6.4e9 twice; set PRIMERACES_SLOW=1")
+def test_mod4_lead_era_near_6_3_billion():
+    # quoted from its first tie to its last tie, unlike the strict era above
+    lo, hi = 6_309_280_697, 6_403_150_363
+    ledger = races.run_dense_race(6_403_200_000, 4, TEAMS4, allow_long=True)
+    era = [w for w in races.lead_windows(ledger, "1") if lo <= w[0] < hi]
+    assert (era[0][0], era[-1][1], len(era)) == \
+        (6_309_280_709, 6_403_150_198, 3_117)
+    events = [(e.x, e.previous_leader, e.new_leader)
+              for e in races.detect_lead_changes(ledger)]
+    assert (lo, "3", "tie") in events and (hi, "tie", "3") in events
+    # strict windows read off the events agree with lead_windows, and show
+    # team 3 briefly ahead again three times near the end of the span
+    spans = {lab: [(a[0], b[0] - 1) for a, b in zip(events, events[1:])
+                   if a[2] == lab and lo <= a[0] < hi] for lab in "13"}
+    assert spans["1"] == era
+    assert spans["3"][-3:] == [(6_403_149_659, 6_403_149_672),
+                               (6_403_149_799, 6_403_150_152),
+                               (6_403_150_219, 6_403_150_356)]
