@@ -28,10 +28,10 @@ from . import lfunctions as lf
 from . import pairs, presets, races, sieve, waves
 from .errors import CapacityError, DomainError, PrimeRacesError
 
-# The imports above leave ~40k objects whose first full collection is due
-# within a few thousand allocations; run it at start-up, not inside the
-# first command that builds many containers (a 5,000-point histogram took
-# 25 ms longer when the collection landed there).
+# The imports above leave ~21k objects (numpy's, mostly) whose first full
+# collection is due within a few thousand allocations; run it at start-up,
+# not inside the first command that builds many containers (a 5,000-point
+# histogram took 25 ms longer when the collection landed there).
 gc.collect()
 
 #: the most grid points, samples or waves one command may ask for
@@ -161,19 +161,19 @@ def cmd_pi(args):
     q = 1 if args.modulus is None else args.modulus
     rows = sieve.count_in_progressions(limit, q, cks,
                                        allow_long=args.allow_long)
-    if args.checkpoint_file:
-        _write(args.checkpoint_file, sieve.format_checkpoints(rows))
+    side = ({args.checkpoint_file: sieve.format_checkpoints(rows)}
+            if args.checkpoint_file else {})
     if args.modulus is not None:
         if args.format == "json":
             return _json({"modulus": args.modulus, "rows": [
                 {"x": rc.x, "counts": {str(a): c
                                        for a, c in sorted(rc.counts.items())}}
-                for rc in rows]})
-        return sieve.format_checkpoints(rows)
+                for rc in rows]}), side
+        return sieve.format_checkpoints(rows), side
     rows = [(rc.x, rc.counts[0]) for rc in rows]
     if args.format == "json":
-        return _json({"rows": [{"x": x, "pi": c} for x, c in rows]})
-    return "".join("%d,%d\n" % r for r in rows)
+        return _json({"rows": [{"x": x, "pi": c} for x, c in rows]}), side
+    return "".join("%d,%d\n" % r for r in rows), side
 
 
 def cmd_race(args):
@@ -269,8 +269,8 @@ def cmd_explicit(args):
         waves.write_series_csv(buf, grid, columns)
         text = buf.getvalue()
     if args.stats_out:
-        _write(args.stats_out, _json(stats))
-    elif args.format != "json":
+        return text, {args.stats_out: _json(stats)}
+    if args.format != "json":
         sys.stderr.write(_json(stats))
     return text
 
@@ -466,10 +466,17 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; write its artifact or map its error to a code."""
+    """Run one command; write its artifact or map its error to a code.
+
+    A command returns its artifact text, or the text and a dict of side
+    files (path -> text), which are written only once the artifact is."""
     args = build_parser().parse_args(argv)
     try:
-        _emit(args.out, args.func(args))
+        result = args.func(args)
+        text, side = result if isinstance(result, tuple) else (result, {})
+        _emit(args.out, text)
+        for path, body in side.items():
+            _write(path, body)
     except (PrimeRacesError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return getattr(exc, "exit_code", 4)  # OSError: I/O, 4

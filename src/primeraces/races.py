@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from . import sieve
 from .errors import DomainError
@@ -293,6 +292,27 @@ def build_histogram(samples, bins, lo, hi):
     return Histogram(edges, counts.astype(np.int64), int(s.size), under, over)
 
 
+#: psi(n) = H_(n-1) - gamma for n = 1..10, the harmonic sums taken in order
+_PSI_SMALL = np.cumsum(np.r_[0.0, 1 / np.arange(1.0, 10.0)]) - np.euler_gamma
+#: B_2k / 2k for k = 7 down to 1: the asymptotic series of psi
+_PSI_SERIES = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120,
+               1 / 12)
+
+
+def _digamma(n):
+    """psi(n) at integer-valued n >= 1, elementwise: H_(n-1) - gamma up to
+    10, above it ln n - 1/(2n) - sum B_2k / (2k n^2k) to seven terms
+    (Abramowitz & Stegun 6.3.18), whose next term is below 1e-16 relative."""
+    n = np.asarray(n, dtype=float)
+    s = np.maximum(n, 10.0)
+    z = 1 / (s * s)
+    poly = 0.0
+    for c in _PSI_SERIES:
+        poly = poly * z + c
+    small = _PSI_SMALL[np.clip(n, 1, 10).astype(np.intp) - 1]
+    return np.where(n <= 10, small, np.log(s) - 0.5 / s - z * poly)
+
+
 def leader_density(ledger, condition, X, kind):
     """Density of {2 <= x <= X : condition} under the chosen measure.
 
@@ -329,7 +349,7 @@ def leader_density(ledger, condition, X, kind):
     starts = np.concatenate(opened)
     ends = np.concatenate(closed + [np.array([X] if on else [], np.int64)])
     if kind == "logarithmic":
-        mass = np.sum(digamma(ends + 1.0) - digamma(starts * 1.0))
+        mass = np.sum(_digamma(ends + 1.0) - _digamma(starts * 1.0))
         value = float(mass / math.log(X))
     else:
         value = float(np.sum(ends - starts + 1) / X)

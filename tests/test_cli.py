@@ -433,6 +433,35 @@ def test_out_into_missing_directory_is_io_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+def test_failed_out_leaves_no_checkpoint_file(tmp_path, capsys):
+    chk = tmp_path / "a.chk"
+    code, _, err = run_cli(capsys, "pi", "--limit", "1000", "--modulus", "4",
+                           "--checkpoints", "100,1000",
+                           "--checkpoint-file", str(chk),
+                           "--out", str(tmp_path / "no" / "such" / "x.csv"))
+    assert code == 4 and err.startswith("error: ")
+    assert not chk.exists()
+
+
+def test_failed_out_leaves_no_stats_file(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    code, _, err = run_cli(capsys, "explicit", "--zeros",
+                           str(GOLDEN / "zeros_zeta.zeros"),
+                           "--target", "pi-li", "--range", "1e4:1e5",
+                           "--points", "20", "--stats-out", str(stats),
+                           "--out", str(tmp_path / "no" / "such" / "x.csv"))
+    assert code == 4 and err.startswith("error: ")
+    assert not stats.exists()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, primeraces.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 def test_convergence_error_exits_five(capsys, monkeypatch):
     from primeraces.errors import ConvergenceError
 

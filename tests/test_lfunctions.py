@@ -109,7 +109,10 @@ def mp_li2(x):
 
 
 def test_li_against_mpmath_on_log_grid():
-    xs = np.geomspace(2, 1e12, 300)
+    # from 2.1 (the docstring's bound) past Ei's switch to its asymptotic
+    # series at x = e^40 and up to 1e30
+    xs = np.concatenate([np.geomspace(2, 1e12, 300), [2.1],
+                         np.geomspace(1e13, 1e30, 40)])
     got = lf.li(xs)
     want = np.array([mp_li(x) for x in xs])
     assert got[0] == 0.0
@@ -126,6 +129,25 @@ def test_li2_against_mpmath():
             assert abs(got - want) <= 2e-15, x
         else:
             assert abs(got / want - 1) <= 1e-14, x
+
+
+def test_ei_against_mpmath():
+    xs = np.concatenate([np.linspace(math.log(2), math.log(1e12), 200),
+                         [39.999, 40.0, 40.001, 45.0, 100.0, 700.0]])
+    got = lf._ei(xs)
+    want = np.array([float(mp.ei(mp.mpf(float(x)))) for x in xs])
+    # a few ulps from the term recurrence: scipy's expi, the same routine
+    # with 20 asymptotic terms, errs by up to 1.9e-15 below 40 and 2.8e-14
+    # just above it
+    assert np.max(np.abs(got / want - 1)) <= 2e-15
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75])
+def test_im_log_gamma_against_mpmath(a):
+    ts = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(1, 1000, 120)])
+    got = lf._im_log_gamma(a, ts)
+    want = [float(mp.loggamma(mp.mpc(a, float(t))).imag) for t in ts]
+    assert np.max(np.abs(got - want)) <= 1e-11
 
 
 def test_li_exactly_zero_at_two_whatever_the_log_rounding(monkeypatch):

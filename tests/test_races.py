@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,14 @@ def test_natural_density_zero_below_first_lead(dense4_30k):
     est = races.leader_density(dense4_30k, races.strictly_ahead(1),
                                26860, "natural")
     assert est.value == 0.0
+
+
+def test_digamma_at_integers_against_mpmath():
+    ns = np.array([1, 2, 3, 4, 9, 10, 11, 12, 100, 12345, 10**6, 10**10],
+                  dtype=float)
+    got = races._digamma(ns)
+    want = np.array([float(mpmath.digamma(int(n))) for n in ns])
+    assert np.max(np.abs(got / want - 1)) <= 1e-15
 
 
 def test_density_identity_and_bounds(dense4_1e7):
