@@ -184,18 +184,38 @@ def _states(mat, place="first"):
     return state
 
 
-def _flips(ledger, place, state):
-    """Yield (x, old, new) at every sample where the strict holder of
-    ``place`` changes, starting from ``state`` before the first sample."""
+def _changes(ledger, value, X):
+    """Scan a dense ledger for the samples x <= X where ``value`` (one entry
+    per sample of a teams x samples block of counts) changes, starting from
+    its value at the all-zero counts and stopping after the block that
+    holds X.  Returns that start value, the int64 (x, old, new) rows of the
+    changes (shape 3 x changes) and the value at X."""
+    if not ledger.dense:
+        raise DomainError("this scan needs a dense ledger")
+    start = last = value(np.zeros((len(ledger.teams), 1), np.int64))[0]
+    rows = [np.empty((3, 0), np.int64)]
     for xs, mat in ledger.chunks():
-        full = np.concatenate(([state], _states(mat, place)))
-        for i in np.flatnonzero(full[1:] != full[:-1]).tolist():
-            yield int(xs[i]), int(full[i]), int(full[i + 1])
-        state = full[-1]
+        n = int(np.searchsorted(xs, X, side="right"))
+        vals = value(mat[:, :n])
+        if vals.shape != (n,):
+            raise DomainError("condition must yield one flag per sample")
+        full = np.concatenate(([last], vals))
+        i = np.flatnonzero(full[1:] != full[:-1])
+        rows.append(np.stack((xs[i], full[i], full[i + 1])))
+        last = full[-1]
+        if n < len(xs):
+            break
+    return start, np.concatenate(rows, axis=1), last
 
 
-def _label(ledger, idx):
-    return TIE if idx < 0 else ledger.labels[idx]
+def _runs(scan, target, X):
+    """Int64 starts and ends of the maximal integer runs [a, b] within
+    [2, X] on which the value of a ``_changes`` scan equals ``target``."""
+    start, (x, old, new), last = scan
+    first = np.array([2] if start == target else [], np.int64)
+    final = np.array([X] if last == target else [], np.int64)
+    return (np.concatenate((first, x[new == target])),
+            np.concatenate((x[old == target] - 1, final)))
 
 
 def detect_lead_changes(ledger, place="first"):
@@ -204,11 +224,10 @@ def detect_lead_changes(ledger, place="first"):
 
     With place="last" the events track the trailing position instead (the
     other statistic worth watching in a many-team race)."""
-    if not ledger.dense:
-        raise DomainError("lead-change detection needs a dense ledger")
-    start = 0 if len(ledger.teams) == 1 else -1  # a lone team never ties
-    return [LeadChangeEvent(x, _label(ledger, old), _label(ledger, new))
-            for x, old, new in _flips(ledger, place, start)]
+    _, rows, _ = _changes(ledger, lambda m: _states(m, place), ledger.limit)
+    names = ledger.labels + [TIE]  # state -1 (a tie) reads the last name
+    return [LeadChangeEvent(x, names[old], names[new])
+            for x, old, new in rows.T.tolist()]
 
 
 def lead_windows(ledger, label):
@@ -218,18 +237,9 @@ def lead_windows(ledger, label):
     integers p .. p'-1 where p' is the next sampled prime (or through
     ``ledger.limit`` for the final state).
     """
-    if not ledger.dense:
-        raise DomainError("lead windows need a dense ledger")
-    idx = ledger.labels.index(label)
-    windows, new = [], -1
-    for x, old, new in _flips(ledger, "first", -1):
-        if new == idx:
-            start = x
-        elif old == idx:
-            windows.append((start, x - 1))
-    if new == idx:
-        windows.append((start, int(ledger.limit)))
-    return windows
+    scan = _changes(ledger, _states, ledger.limit)
+    starts, ends = _runs(scan, ledger.labels.index(label), ledger.limit)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def littlewood_bound(x):
@@ -318,36 +328,19 @@ def leader_density(ledger, condition, X, kind):
 
     ``condition`` maps a (teams x samples) block of counts to a boolean
     per-sample array; between samples the counts (hence the predicate) are
-    constant, so the qualifying integers form runs, found block by block.
+    constant, so the qualifying integers form runs.
     kind "logarithmic" is (1/ln X) * sum 1/x over qualifying integers (the
     exact sum, each run telescoped into one digamma difference); kind
     "natural" is the plain proportion of qualifying integers.
     """
     if X < 2:
         raise DomainError("density needs X >= 2")
-    if not ledger.dense:
-        raise DomainError("density needs a dense ledger")
     if X > ledger.limit:
         raise DomainError("X beyond the ledger limit")
     if kind not in ("logarithmic", "natural"):
         raise DomainError("kind must be 'logarithmic' or 'natural'")
-    zero_state = np.zeros((len(ledger.teams), 1), dtype=np.int64)
-    on = bool(np.asarray(condition(zero_state), dtype=bool)[0])
-    # starts and ends of the runs of qualifying integers
-    opened, closed = [np.array([2] if on else [], dtype=np.int64)], []
-    for xs, mat in ledger.chunks():
-        n = int(np.searchsorted(xs, X, side="right"))
-        flags = np.asarray(condition(mat[:, :n]), dtype=bool)
-        if flags.shape != (n,):
-            raise DomainError("condition must yield one flag per sample")
-        full = np.concatenate(([on], flags))
-        opened.append(xs[:n][full[1:] & ~full[:-1]])
-        closed.append(xs[:n][full[:-1] & ~full[1:]] - 1)
-        on = full[-1]
-        if n < len(xs):
-            break
-    starts = np.concatenate(opened)
-    ends = np.concatenate(closed + [np.array([X] if on else [], np.int64)])
+    flags = lambda m: np.asarray(condition(m), dtype=bool)
+    starts, ends = _runs(_changes(ledger, flags, X), True, X)
     if kind == "logarithmic":
         mass = np.sum(_digamma(ends + 1.0) - _digamma(starts * 1.0))
         value = float(mass / math.log(X))
