@@ -197,6 +197,8 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     prediction as the published tables do)."""
     gaps = _gap_specs(gaps)
     checkpoints = sorted(int(x) for x in checkpoints)
+    if not checkpoints:
+        raise DomainError("no checkpoints")
     limit = limit or checkpoints[-1]
     counts = _count_pairs(limit, gaps, checkpoints, None, allow_long)
     constants = constants or compute_c2()

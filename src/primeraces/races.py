@@ -90,7 +90,8 @@ class RaceLedger:
     yields (xs, counts) blocks in ascending x, counts of shape
     (len(teams), len(xs)).  A dense ledger keeps only that source and sieves
     afresh on each call, so it holds one segment at a time; its ``xs`` and
-    ``counts`` are concatenated from the blocks on first use.
+    ``counts`` are both concatenated from one pass over the blocks on first
+    use of either.
     """
 
     def __init__(self, modulus, teams, xs=None, counts=None, dense=False,
@@ -105,13 +106,18 @@ class RaceLedger:
 
     @functools.cached_property
     def xs(self):
-        return np.concatenate([np.empty(0, np.int64)]
-                              + [xs for xs, _ in self.chunks()])
+        return self._join()[0]
 
     @functools.cached_property
     def counts(self):
-        return np.concatenate([np.empty((len(self.teams), 0), np.int64)]
-                              + [c for _, c in self.chunks()], axis=1)
+        return self._join()[1]
+
+    def _join(self):
+        empty = (np.empty(0, np.int64),
+                 np.empty((len(self.teams), 0), np.int64))
+        self.xs, self.counts = (np.concatenate(b, axis=-1)
+                                for b in zip(empty, *self.chunks()))
+        return self.xs, self.counts
 
 
 def _validate_teams(q, teams):
@@ -203,7 +209,7 @@ def _changes(ledger, value, X):
         i = np.flatnonzero(full[1:] != full[:-1])
         rows.append(np.stack((xs[i], full[i], full[i + 1])))
         last = full[-1]
-        if n < len(xs):
+        if len(xs) and xs[-1] >= X:
             break
     return start, np.concatenate(rows, axis=1), last
 
@@ -237,6 +243,8 @@ def lead_windows(ledger, label):
     integers p .. p'-1 where p' is the next sampled prime (or through
     ``ledger.limit`` for the final state).
     """
+    if label not in ledger.labels:
+        raise DomainError("no team labelled %r" % (label,))
     scan = _changes(ledger, _states, ledger.limit)
     starts, ends = _runs(scan, ledger.labels.index(label), ledger.limit)
     return list(zip(starts.tolist(), ends.tolist()))

@@ -157,6 +157,8 @@ def test_pair_race_distinct_gaps():
         pairs.twin_table([2, 2], [10])
     with pytest.raises(DomainError):
         pairs.twin_table([], [10])
+    with pytest.raises(DomainError, match="no checkpoints"):
+        pairs.twin_table([2], [])
 
 
 def test_c2_cached(c2):

@@ -63,6 +63,8 @@ def test_first_lead_at_26861(dense4_30k):
 
 def test_lead_windows_ground_truth(dense4_30k):
     assert races.lead_windows(dense4_30k, "1") == [(26861, 26862)]
+    with pytest.raises(DomainError, match="'x'"):
+        races.lead_windows(dense4_30k, "x")
 
 
 def test_first_lead_margin_is_one_prime():
@@ -90,6 +92,50 @@ def test_sparse_ledger_rejected():
     ledger = races.run_race(counts, TEAMS4)
     with pytest.raises(DomainError):
         races.detect_lead_changes(ledger)
+    with pytest.raises(DomainError):
+        races.lead_windows(ledger, "1")
+    with pytest.raises(DomainError):
+        races.leader_density(ledger, races.strictly_ahead(0), 1000,
+                             "natural")
+
+
+def _count_passes(ledger):
+    """Wrap the ledger's chunk source: returns [calls, blocks yielded]."""
+    seen, source = [0, 0], ledger.chunks
+
+    def chunks():
+        seen[0] += 1
+        for block in source():
+            seen[1] += 1
+            yield block
+    ledger.chunks = chunks
+    return seen
+
+
+def test_each_fold_is_one_pass_that_stops_at_X():
+    plan = sieve.SegmentPlan(segment_size=64)
+    ledger = races.run_dense_race(30000, 4, TEAMS4, plan)
+    blocks = [xs for xs, _ in ledger.chunks()]
+    for fold in (lambda: races.detect_lead_changes(ledger),
+                 lambda: races.lead_windows(ledger, "1"),
+                 lambda: races.leader_density(
+                     ledger, races.strictly_ahead(0), 30000, "natural")):
+        seen = _count_passes(ledger)
+        fold()
+        assert seen == [1, len(blocks)]
+    # X inside a block, or its last sample, draws no block after it
+    for j, X in ((0, 2), (3, int(blocks[3][5])), (3, int(blocks[3][-1]))):
+        seen = _count_passes(ledger)
+        races.leader_density(ledger, races.strictly_ahead(0), X, "natural")
+        assert seen == [1, j + 1], X
+
+
+def test_dense_xs_and_counts_share_one_pass():
+    ledger = races.run_dense_race(10**5, 4, TEAMS4)
+    seen = _count_passes(ledger)
+    xs, counts = ledger.xs, ledger.counts
+    assert seen[0] == 1 and ledger.xs is xs and ledger.counts is counts
+    assert counts.shape == (2, len(xs)) and xs[-1] == 99991
 
 
 def test_error_term_values():
