@@ -202,10 +202,7 @@ def _changes(ledger, value, X):
     rows = [np.empty((3, 0), np.int64)]
     for xs, mat in ledger.chunks():
         n = int(np.searchsorted(xs, X, side="right"))
-        vals = value(mat[:, :n])
-        if vals.shape != (n,):
-            raise DomainError("condition must yield one flag per sample")
-        full = np.concatenate(([last], vals))
+        full = np.concatenate(([last], value(mat[:, :n])))
         i = np.flatnonzero(full[1:] != full[:-1])
         rows.append(np.stack((xs[i], full[i], full[i + 1])))
         last = full[-1]
@@ -347,7 +344,11 @@ def leader_density(ledger, condition, X, kind):
         raise DomainError("X beyond the ledger limit")
     if kind not in ("logarithmic", "natural"):
         raise DomainError("kind must be 'logarithmic' or 'natural'")
-    flags = lambda m: np.asarray(condition(m), dtype=bool)
+    def flags(mat):
+        f = np.asarray(condition(mat), dtype=bool)
+        if f.shape == mat.shape[1:]:
+            return f
+        raise DomainError("condition must yield one flag per sample")
     starts, ends = _runs(_changes(ledger, flags, X), True, X)
     if kind == "logarithmic":
         mass = np.sum(_digamma(ends + 1.0) - _digamma(starts * 1.0))

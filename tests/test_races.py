@@ -274,6 +274,8 @@ def test_density_domain_errors(dense4_30k):
     with pytest.raises(DomainError):
         races.leader_density(dense4_30k, races.strictly_ahead(0), 100,
                              "harmonic")
+    with pytest.raises(DomainError, match="one flag per sample"):
+        races.leader_density(dense4_30k, lambda m: m, 100, "natural")
 
 
 # ---------------------------------------------------------------------------
