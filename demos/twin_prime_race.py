@@ -33,7 +33,7 @@ for x in xs:
         line += "%-10.1f" % r["difference"]
     print(line + "%10.1f" % cells[0]["hl_prediction"])
 
-ledger, events = pairs.pair_race(gaps, 10**6, dense=True)
+ledger, events = pairs.pair_race(gaps, 10**6)
 print("\n%d first-place changes up to 10^6; the last few:" % len(events))
 for e in events[-4:]:
     print("  x=%d  %s -> %s" % (e.x, e.previous_leader, e.new_leader))

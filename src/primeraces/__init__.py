@@ -21,9 +21,9 @@ from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     littlewood_bound, return_fraction,
                     run_dense_race, run_race, shanks_ratio, simulate_tie_walk,
                     splitmix64, squares_mod, strictly_ahead)
-from .sieve import (ResidueCounts, SegmentPlan, checkpoint_load,
-                    checkpoint_save, count_in_progressions, count_primes,
-                    iter_prime_blocks, primes_up_to)
+from .sieve import (ResidueCounts, checkpoint_load, checkpoint_save,
+                    count_in_progressions, count_primes, iter_prime_blocks,
+                    primes_up_to)
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
                     compare_series, ford_konyagin_grid,
                     ford_konyagin_profile, forbidden_ordering_count,

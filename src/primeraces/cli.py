@@ -279,7 +279,7 @@ def cmd_twins(args):
     limit = _parse_limit(args.limit)
     gaps = _parse_ints(args.gaps, "gap list")
     if args.race:
-        ledger, events = pairs.pair_race(gaps, limit, dense=True,
+        ledger, events = pairs.pair_race(gaps, limit,
                                          allow_long=args.allow_long,
                                          place=args.place)
         return _events(events, args.format, {"gaps": gaps})

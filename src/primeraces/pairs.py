@@ -116,20 +116,19 @@ def _gap_specs(gaps):
     return [g if isinstance(g, GapSpec) else GapSpec(int(g)) for g in gaps]
 
 
-def _count_pairs(limit, gaps, checkpoints, plan, allow_long):
+def _count_pairs(limit, gaps, checkpoints, allow_long):
     """One PairCounts per GapSpec, all from one sieve pass."""
     checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
     rows = sieve.count_pairs_by_gap(limit, [g.gap for g in gaps],
-                                    checkpoints, plan, allow_long)
+                                    checkpoints, allow_long)
     return [PairCounts(g, np.array([x for x, _ in r], dtype=np.int64),
                        np.array([c for _, c in r], dtype=np.int64))
             for g, r in zip(gaps, rows)]
 
 
-def count_pairs(limit, gap, checkpoints=None, plan=None, allow_long=False):
+def count_pairs(limit, gap, checkpoints=None, allow_long=False):
     """pi_2k at the given checkpoints (default: just the limit)."""
-    return _count_pairs(limit, _gap_specs([gap]), checkpoints, plan,
-                        allow_long)[0]
+    return _count_pairs(limit, _gap_specs([gap]), checkpoints, allow_long)[0]
 
 
 def _scaled_teams(gaps):
@@ -141,13 +140,13 @@ def _scaled_teams(gaps):
     return [den * (lcm // num) for num, den in recs]
 
 
-def _pair_chunks(limit, gaps, scales, plan):
+def _pair_chunks(limit, gaps, scales):
     """Yield (xs, counts) per sieve segment: xs are the starts of any gap's
     pairs there, counts each gap's running pair count at those xs (carried
     across segments) times its scale."""
     carry = np.zeros((len(gaps), 1), dtype=np.int64)
     scales = np.array(scales, dtype=np.int64)[:, None]
-    for lo, _, masks in sieve._pair_masks(limit, gaps, plan):
+    for lo, _, masks in sieve._pair_masks(limit, gaps):
         idx = np.flatnonzero(functools.reduce(np.logical_or, masks))
         if len(idx):
             counts = np.cumsum([m[idx] for m in masks], axis=1,
@@ -156,12 +155,11 @@ def _pair_chunks(limit, gaps, scales, plan):
             yield lo + 2 * idx.astype(np.int64), counts * scales
 
 
-def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
-              allow_long=False, place="first"):
+def pair_race(gaps, limit, allow_long=False, place="first"):
     """Race the renormalized pair counts across gaps.
 
-    Returns (ledger, events).  Dense mode samples at every x where any
-    gap's count changes, so place changes are exact; events follow the
+    Returns (ledger, events).  The dense ledger samples at every x where
+    any gap's count changes, so place changes are exact; events follow the
     same strict-leader/tie convention as the progression races, tracking
     first place by default (pass place="last", or run detect_lead_changes
     on the returned ledger, for the trailing position).
@@ -169,20 +167,11 @@ def pair_race(gaps, limit, checkpoints=None, dense=False, plan=None,
     gaps = _gap_specs(gaps)
     scales = _scaled_teams(gaps)
     teams = [TeamSpec(str(g.gap), {1}) for g in gaps]  # labels only
-
-    if dense:
-        raw = sieve._check_gaps([g.gap for g in gaps])
-        limit = sieve.check_limit(limit, allow_long, extra=max(raw))
-        chunks = functools.partial(_pair_chunks, limit, raw, scales, plan)
-        ledger = RaceLedger(0, teams, dense=True, limit=limit, chunks=chunks)
-        return ledger, detect_lead_changes(ledger, place)
-
-    counts = _count_pairs(limit, gaps, checkpoints, plan, allow_long)
-    mat = np.array([pc.counts * s for pc, s in zip(counts, scales)],
-                   dtype=np.int64)
-    ledger = RaceLedger(0, teams, counts[0].xs, mat, dense=False,
-                        limit=int(limit))
-    return ledger, []
+    raw = sieve._check_gaps([g.gap for g in gaps])
+    limit = sieve.check_limit(limit, allow_long, extra=max(raw))
+    chunks = functools.partial(_pair_chunks, limit, raw, scales)
+    ledger = RaceLedger(teams, dense=True, limit=limit, chunks=chunks)
+    return ledger, detect_lead_changes(ledger, place)
 
 
 def round_half_away(v):
@@ -200,7 +189,7 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     if not checkpoints:
         raise DomainError("no checkpoints")
     limit = limit or checkpoints[-1]
-    counts = _count_pairs(limit, gaps, checkpoints, None, allow_long)
+    counts = _count_pairs(limit, gaps, checkpoints, allow_long)
     constants = constants or compute_c2()
     rows = []
     preds = {x: hl_prediction(x, constants) for x in checkpoints}

@@ -94,9 +94,9 @@ class RaceLedger:
     use of either.
     """
 
-    def __init__(self, modulus, teams, xs=None, counts=None, dense=False,
-                 limit=0, chunks=None):
-        self.modulus, self.teams = modulus, list(teams)
+    def __init__(self, teams, xs=None, counts=None, dense=False, limit=0,
+                 chunks=None):
+        self.teams = list(teams)
         self.dense, self.limit = dense, limit
         self.labels = [t.label for t in self.teams]
         if chunks is None:
@@ -143,10 +143,10 @@ def run_race(counts, teams):
     xs = np.array([rc.x for rc in counts], dtype=np.int64)
     mat = np.array([[sum(rc.counts[r] for r in t.residues) for rc in counts]
                     for t in teams], dtype=np.int64)
-    return RaceLedger(q, list(teams), xs, mat, dense=False, limit=int(xs[-1]))
+    return RaceLedger(list(teams), xs, mat, dense=False, limit=int(xs[-1]))
 
 
-def _race_chunks(limit, q, teams, plan, allow_long):
+def _race_chunks(limit, q, teams, allow_long):
     """Yield (primes, counts) per sieve segment: each team's running count
     at each prime, carried across segments."""
     team_of = np.full(q, len(teams), dtype=np.intp)  # len(teams) = no team
@@ -154,7 +154,7 @@ def _race_chunks(limit, q, teams, plan, allow_long):
         team_of[list(t.residues)] = i
     rows = np.arange(len(teams))[:, None]
     carry = np.zeros((len(teams), 1), dtype=np.int64)
-    for primes in sieve.iter_prime_blocks(limit, plan, allow_long):
+    for primes in sieve.iter_prime_blocks(limit, allow_long):
         if len(primes):
             owner = team_of[primes % q]
             counts = np.cumsum(owner == rows, axis=1, dtype=np.int64) + carry
@@ -162,13 +162,12 @@ def _race_chunks(limit, q, teams, plan, allow_long):
             yield primes, counts
 
 
-def run_dense_race(limit, q, teams, plan=None, allow_long=False):
+def run_dense_race(limit, q, teams, allow_long=False):
     """Ledger sampled at every prime <= limit (the dense mode)."""
     _validate_teams(q, teams)
     limit = sieve.check_limit(limit, allow_long)
-    chunks = functools.partial(_race_chunks, limit, q, list(teams), plan,
-                               allow_long)
-    return RaceLedger(q, teams, dense=True, limit=limit, chunks=chunks)
+    chunks = functools.partial(_race_chunks, limit, q, list(teams), allow_long)
+    return RaceLedger(teams, dense=True, limit=limit, chunks=chunks)
 
 
 def _states(mat, place="first"):

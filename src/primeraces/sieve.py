@@ -17,30 +17,12 @@ from .errors import CapacityError, DomainError, ParseError
 HARD_CAP = 10**10
 LONG_RUN_THRESHOLD = 10**9
 
-#: default pass size: 2**20 sieve entries, i.e. a span of 2**21 integers per
-#: segment.  The mask is a numpy bool array, one byte per entry, so a segment
-#: takes 1 MiB.  pi(10**9) ran fastest at this size: half as large pays the
+#: sieve entries per segment, i.e. a span of 2 * SEGMENT_ENTRIES integers.
+#: The mask is a numpy bool array, one byte per entry, so a segment takes
+#: 1 MiB.  pi(10**9) ran fastest at this size: half as large pays the
 #: per-prime loop twice as often, twice as large outgrows the cache.
-DEFAULT_SEGMENT_BYTES = 1 << 17
-
-
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Shape of one sieve pass.
-
-    ``segment_size`` is the bytes-equivalent span: one pass covers
-    ``8 * segment_size`` odd numbers.
-    """
-
-    segment_size: int = DEFAULT_SEGMENT_BYTES
-
-    def __post_init__(self):
-        if self.segment_size < 2:
-            raise DomainError("segment_size must be >= 2")
-
-    @property
-    def entries(self):
-        return 8 * self.segment_size
+#: ``_segments`` reads it on each call, so tests may shrink it.
+SEGMENT_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -122,43 +104,43 @@ def _mark_segment(lo, n, odd_base):
     return seg
 
 
-def _segments(limit, plan=None, extra=0):
+def _segments(limit, extra=0):
     """Yield (lo, n, seg) ascending: seg marks the primes among the odd
     numbers lo, lo+2, ...; its first n entries are the ones <= limit, and
     it runs ``extra`` (even) further so that a pair partner up to ``extra``
     ahead never sits across an unsieved boundary."""
-    span = 2 * (plan or SegmentPlan()).entries
+    span = 2 * SEGMENT_ENTRIES
     odd_base = small_primes(math.isqrt(limit + extra))[1:]
     for lo in range(3, limit + 1, span):
         n = (min(lo + span - 2, limit) - lo) // 2 + 1
         yield lo, n, _mark_segment(lo, n + extra // 2, odd_base)
 
 
-def _pair_masks(limit, gaps, plan):
+def _pair_masks(limit, gaps):
     """Yield (lo, n, masks) ascending, one sieve pass for every gap:
     masks[j][i] marks lo+2i and lo+2i+gaps[j] both prime, lo+2i <= limit."""
-    for lo, n, seg in _segments(limit, plan, max(gaps)):
+    for lo, n, seg in _segments(limit, max(gaps)):
         yield lo, n, [seg[:n] & seg[g // 2:g // 2 + n] for g in gaps]
 
 
-def iter_prime_blocks(limit, plan=None, allow_long=False):
+def iter_prime_blocks(limit, allow_long=False):
     """Yield ascending numpy arrays of primes covering 2..limit."""
     limit = check_limit(limit, allow_long)
     yield np.array([2], dtype=np.int64)
-    for lo, _, seg in _segments(limit, plan):
+    for lo, _, seg in _segments(limit):
         yield lo + 2 * np.flatnonzero(seg).astype(np.int64)
 
 
-def primes_up_to(limit, plan=None, allow_long=False):
+def primes_up_to(limit, allow_long=False):
     """All primes <= limit as one array (materialized; desk scale only)."""
-    return np.concatenate(list(iter_prime_blocks(limit, plan, allow_long)))
+    return np.concatenate(list(iter_prime_blocks(limit, allow_long)))
 
 
-def count_primes(limit, plan=None, allow_long=False):
+def count_primes(limit, allow_long=False):
     """pi(limit) without materializing the primes."""
     limit = check_limit(limit, allow_long)
     return 1 + sum(int(np.count_nonzero(seg))
-                   for _, _, seg in _segments(limit, plan))
+                   for _, _, seg in _segments(limit))
 
 
 def _residue_offset(lo, q, a):
@@ -221,7 +203,7 @@ class _Tally:
         return self.out
 
 
-def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False):
+def count_in_progressions(limit, q, checkpoints, allow_long=False):
     """Exact pi(x; q, a) at every checkpoint, one sieve pass.
 
     Checkpoints must be ascending with max <= limit; counts cover every
@@ -233,13 +215,12 @@ def count_in_progressions(limit, q, checkpoints, plan=None, allow_long=False):
         raise DomainError("modulus must be >= 1")
     checkpoints = _check_checkpoints(checkpoints, limit)
     tally = _Tally(q, checkpoints, two=True)
-    for lo, n, seg in _segments(limit, plan):
+    for lo, n, seg in _segments(limit):
         tally.add(lo, n, seg)
     return [ResidueCounts(q, x, counts) for x, counts in tally.finish()]
 
 
-def count_pairs_by_gap(limit, gaps, checkpoints, plan=None,
-                       allow_long=False):
+def count_pairs_by_gap(limit, gaps, checkpoints, allow_long=False):
     """pi_2k for every distinct gap in ``gaps`` at each ascending checkpoint
     <= limit, from one sieve pass: one [(x, count)] list per gap, in the
     order of ``gaps``."""
@@ -247,34 +228,24 @@ def count_pairs_by_gap(limit, gaps, checkpoints, plan=None,
     limit = check_limit(limit, allow_long, extra=max(gaps))
     checkpoints = _check_checkpoints(checkpoints, limit)
     tallies = [_Tally(1, checkpoints, two=False) for _ in gaps]
-    for lo, n, masks in _pair_masks(limit, gaps, plan):
+    for lo, n, masks in _pair_masks(limit, gaps):
         for tally, mask in zip(tallies, masks):
             tally.add(lo, n, mask)
     return [[(x, counts[0]) for x, counts in tally.finish()]
             for tally in tallies]
 
 
-def count_pairs_at(limit, gap, checkpoints, plan=None, allow_long=False):
-    """pi_2k at each ascending checkpoint <= limit, single pass."""
-    return count_pairs_by_gap(limit, [gap], checkpoints, plan, allow_long)[0]
-
-
-def pair_starts_by_gap(limit, gaps, plan=None, allow_long=False):
+def pair_starts_by_gap(limit, gaps, allow_long=False):
     """For every distinct gap in ``gaps``, all p <= limit with p, p+gap
     prime as one ascending array, from one sieve pass; in the order of
     ``gaps``."""
     gaps = _check_gaps(gaps)
     limit = check_limit(limit, allow_long, extra=max(gaps))
     blocks = [[np.empty(0, dtype=np.int64)] for _ in gaps]
-    for lo, n, masks in _pair_masks(limit, gaps, plan):
+    for lo, n, masks in _pair_masks(limit, gaps):
         for block, mask in zip(blocks, masks):
             block.append(lo + 2 * np.flatnonzero(mask).astype(np.int64))
     return [np.concatenate(block) for block in blocks]
-
-
-def pair_starts(limit, gap, plan=None, allow_long=False):
-    """All p <= limit with p, p+gap prime, as one ascending array."""
-    return pair_starts_by_gap(limit, [gap], plan, allow_long)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,17 @@ def trial_division_primes(limit):
     return out
 
 
+@pytest.fixture
+def segment_entries(monkeypatch):
+    """Setter for sieve.SEGMENT_ENTRIES: every sieve pass started after a
+    call runs on segments of that many entries, until the test ends.
+    Returns the value set."""
+    def set_entries(entries):
+        monkeypatch.setattr(sieve, "SEGMENT_ENTRIES", entries)
+        return entries
+    return set_entries
+
+
 @pytest.fixture(scope="session")
 def primes_1e6():
     return sieve.primes_up_to(10**6)

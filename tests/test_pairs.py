@@ -112,41 +112,39 @@ def test_prediction_tracks_counts_within_two_sqrt_x(c2):
 
 
 def test_gap6_to_gap2_ratio_at_1e7():
-    p2 = len(sieve.pair_starts(10**7, 2))
-    p6 = len(sieve.pair_starts(10**7, 6))
+    p2 = len(sieve.pair_starts_by_gap(10**7, [2])[0])
+    p6 = len(sieve.pair_starts_by_gap(10**7, [6])[0])
     assert 1.9 < p6 / p2 < 2.1
 
 
 def test_pair_race_checkpoint_counts():
-    ledger, events = pairs.pair_race([2, 4, 8, 16], 10**6,
-                                     checkpoints=[10**6])
+    ledger, _ = pairs.pair_race([2, 4, 8, 16], 10**6)
     # scale factors are all 1 for powers of two
     assert list(ledger.counts[:, -1]) == [8169, 8144, 8242, 8210]
-    assert events == []
 
 
 def test_pair_race_dense_leader_is_gap8_at_1e6():
-    ledger, events = pairs.pair_race([2, 4, 6, 8, 10], 10**6, dense=True)
+    ledger, events = pairs.pair_race([2, 4, 6, 8, 10], 10**6)
     assert len(events) > 0
     idx = {lab: i for i, lab in enumerate(ledger.labels)}
     final = ledger.counts[:, -1]
     assert ledger.labels[int(np.argmax(final))] == "8"
 
 
-def test_dense_pair_race_samples_the_union_of_starts():
+def test_dense_pair_race_samples_the_union_of_starts(segment_entries):
     rng = random.Random(20261018)
     for _ in range(30):
-        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 12))
+        segment_entries(8 * 2 ** rng.randint(1, 12))
         gaps = rng.sample([2, 4, 6, 8, 10, 30, 64], rng.randint(1, 5))
         limit = rng.randint(2, 20000)
-        ledger, _ = pairs.pair_race(gaps, limit, dense=True, plan=plan)
-        starts = sieve.pair_starts_by_gap(limit, gaps, plan)
+        ledger, _ = pairs.pair_race(gaps, limit)
+        starts = sieve.pair_starts_by_gap(limit, gaps)
         assert np.array_equal(ledger.xs, np.unique(np.concatenate(starts)))
         assert ledger.xs.dtype == np.int64
 
 
 def test_pair_race_single_gap_no_events():
-    _, events = pairs.pair_race([2], 10**5, dense=True)
+    _, events = pairs.pair_race([2], 10**5)
     assert events == []
 
 

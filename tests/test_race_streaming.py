@@ -134,18 +134,21 @@ def _random_teams(rng):
     return q, teams
 
 
-def test_streaming_race_matches_the_matrix_code():
+def test_streaming_race_matches_the_matrix_code(segment_entries):
     rng = random.Random(9)
+    default = sieve.SEGMENT_ENTRIES
     for case in range(150):
-        plan = sieve.SegmentPlan(segment_size=int(2 ** rng.uniform(1, 12)))
-        span = 2 * plan.entries
+        entries = 8 * int(2 ** rng.uniform(1, 12))
+        span = 2 * entries
         q, teams = _random_teams(rng)
         X = _near_boundary(rng, span)
         limit = X + rng.choice((0, 1, 2, rng.randint(0, 2 * span)))
-        ledger = races.run_dense_race(limit, q, teams, plan)
+        segment_entries(default)
         xs, mat = old_dense_race(limit, q, teams)
+        segment_entries(entries)
+        ledger = races.run_dense_race(limit, q, teams)
         labels = [t.label for t in teams]
-        where = (case, q, labels, plan.segment_size, X, limit)
+        where = (case, q, labels, entries, X, limit)
         for place in ("first", "last"):
             got = [(e.x, e.previous_leader, e.new_leader)
                    for e in races.detect_lead_changes(ledger, place)]
@@ -164,18 +167,21 @@ def test_streaming_race_matches_the_matrix_code():
             np.array_equal(ledger.counts, mat), where
 
 
-def test_streaming_pair_race_matches_the_union_of_starts_ledger():
+def test_streaming_pair_race_matches_the_union_of_starts_ledger(
+        segment_entries):
     rng = random.Random(10)
+    default = sieve.SEGMENT_ENTRIES
     for case in range(150):
-        plan = sieve.SegmentPlan(segment_size=int(2 ** rng.uniform(1, 12)))
+        entries = 8 * int(2 ** rng.uniform(1, 12))
         gaps = rng.sample([2, 4, 6, 8, 10, 12, 30, 64], rng.randint(1, 4))
-        limit = _near_boundary(rng, 2 * plan.entries)
+        limit = _near_boundary(rng, 2 * entries)
+        segment_entries(default)
         xs, mat = old_pair_race(gaps, limit)
+        segment_entries(entries)
         labels = [str(g) for g in gaps]
-        where = (case, gaps, plan.segment_size, limit)
+        where = (case, gaps, entries, limit)
         for place in ("first", "last"):
-            ledger, events = pairs.pair_race(gaps, limit, dense=True,
-                                             plan=plan, place=place)
+            ledger, events = pairs.pair_race(gaps, limit, place=place)
             got = [(e.x, e.previous_leader, e.new_leader) for e in events]
             assert got == old_events(xs, mat, labels, place), where
         assert np.array_equal(ledger.xs, xs) and \

@@ -112,9 +112,9 @@ def _count_passes(ledger):
     return seen
 
 
-def test_each_fold_is_one_pass_that_stops_at_X():
-    plan = sieve.SegmentPlan(segment_size=64)
-    ledger = races.run_dense_race(30000, 4, TEAMS4, plan)
+def test_each_fold_is_one_pass_that_stops_at_X(segment_entries):
+    segment_entries(512)
+    ledger = races.run_dense_race(30000, 4, TEAMS4)
     blocks = [xs for xs, _ in ledger.chunks()]
     for fold in (lambda: races.detect_lead_changes(ledger),
                  lambda: races.lead_windows(ledger, "1"),

@@ -100,11 +100,11 @@ def test_asymptotic_split_mod4_at_1e7():
     assert 0.99 < got[3] / got[1] < 1.01
 
 
-def test_checkpoint_between_segments():
+def test_checkpoint_between_segments(segment_entries):
     # even checkpoints and checkpoints straddling segment boundaries
-    plan = sieve.SegmentPlan(segment_size=2)  # 16-entry segments
-    rows = sieve.count_in_progressions(1000, 4, [2, 33, 34, 1000], plan=plan)
     ref = counts_map(1000, 4, [2, 33, 34, 1000])
+    segment_entries(16)
+    rows = sieve.count_in_progressions(1000, 4, [2, 33, 34, 1000])
     for rc in rows:
         assert rc.counts == ref[rc.x]
 
@@ -116,11 +116,11 @@ def test_progressions_count_the_prime_two():
 
 
 def test_pair_counts_small():
-    assert len(sieve.pair_starts(10, 2)) == 2  # (3,5), (5,7)
-    assert len(sieve.pair_starts(1000, 2)) == 35
-    assert len(sieve.pair_starts(1000, 6)) == 74
+    assert len(sieve.pair_starts_by_gap(10, [2])[0]) == 2  # (3,5), (5,7)
+    assert len(sieve.pair_starts_by_gap(1000, [2])[0]) == 35
+    assert len(sieve.pair_starts_by_gap(1000, [6])[0]) == 74
     with pytest.raises(DomainError):
-        sieve.pair_starts(1000, 3)
+        sieve.pair_starts_by_gap(1000, [3])
     for gaps in ([2, 2], [], [2, 3]):
         with pytest.raises(DomainError):
             sieve.count_pairs_by_gap(100, gaps, [100])
@@ -130,35 +130,41 @@ def test_pair_counts_small():
 
 def test_pair_visitor_values(oracle_primes_1e5):
     ps = set(int(p) for p in oracle_primes_1e5)
-    seen = sieve.pair_starts(500, 4).tolist()
+    seen = sieve.pair_starts_by_gap(500, [4])[0].tolist()
     expected = [p for p in sorted(ps) if p <= 500 and p + 4 in ps]
     assert seen == expected
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 2**16, 2**20])
-def test_pair_counts_segment_invariance(segment_size):
-    plan = sieve.SegmentPlan(segment_size=segment_size)
-    for gap in (2, 6, 30):
-        assert len(sieve.pair_starts(10**5, gap, plan=plan)) == \
-            len(sieve.pair_starts(10**5, gap))
+def test_pair_counts_segment_invariance(segment_size, segment_entries):
+    gaps = (2, 6, 30)
+    default = [len(sieve.pair_starts_by_gap(10**5, [gap])[0]) for gap in gaps]
+    segment_entries(8 * segment_size)
+    for gap, want in zip(gaps, default):
+        assert len(sieve.pair_starts_by_gap(10**5, [gap])[0]) == want
 
 
-def test_count_invariance_under_segment_size():
+def test_count_invariance_under_segment_size(segment_entries):
     for size in (2**10, 2**16, 2**20):
-        plan = sieve.SegmentPlan(segment_size=size)
-        assert sieve.count_primes(10**5, plan=plan) == 9592
+        segment_entries(8 * size)
+        assert sieve.count_primes(10**5) == 9592
+    # read on each pass, not bound at import: 499 odd numbers, 32 segments
+    segment_entries(16)
+    assert len(list(sieve._segments(1000))) == 32
+    assert sieve.count_primes(1000) == 168
 
 
 @pytest.mark.parametrize("gap", [2, 6, 30, 64])
-def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5):
+def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5,
+                                          segment_entries):
     # 16-entry segments cover 3..33, 35..65, ...; gap 64 looks two
     # segments ahead of the window it counts in
-    plan = sieve.SegmentPlan(segment_size=2)
+    segment_entries(16)
     xs = [2, 3, 33, 34, 35, 36, 65, 66, 67, 97, 98, 999, 1000]
     ps = set(int(p) for p in oracle_primes_1e5)
     want = [(x, sum(1 for p in ps if p <= x and p + gap in ps)) for x in xs]
-    assert sieve.count_pairs_at(1000, gap, xs, plan=plan) == want
-    assert sieve.count_pairs_at(999, gap, xs[:-1], plan=plan) == want[:-1]
+    assert sieve.count_pairs_by_gap(1000, [gap], xs)[0] == want
+    assert sieve.count_pairs_by_gap(999, [gap], xs[:-1])[0] == want[:-1]
 
 
 def test_mark_segment_matches_small_primes():
@@ -178,30 +184,29 @@ def test_mark_segment_matches_small_primes():
         assert got.tolist() == [lo + 2 * i in ref for i in range(n)], (lo, n)
 
 
-def test_segments_match_small_primes():
+def test_segments_match_small_primes(segment_entries):
     # every segment, the short last one and the run past the limit included
     rng = random.Random(20261019)
     for _ in range(200):
-        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 8))
+        entries = segment_entries(8 * 2 ** rng.randint(1, 8))
         limit = rng.randint(2, 6000)
         extra = rng.choice([0, 2, 64, 210])
         ref = set(sieve.small_primes(limit + extra).tolist())
         covered = []
-        for lo, n, seg in sieve._segments(limit, plan, extra):
-            assert n <= plan.entries and len(seg) == n + extra // 2
+        for lo, n, seg in sieve._segments(limit, extra):
+            assert n <= entries and len(seg) == n + extra // 2
             assert seg.tolist() == [lo + 2 * i in ref
                                     for i in range(len(seg))], (lo, n)
             covered += range(lo, lo + 2 * n, 2)
         assert covered == list(range(3, limit + 1, 2))
 
 
-def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5):
+def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5, segment_entries):
     ps = oracle_primes_1e5.tolist()
     prime = set(ps)
     rng = random.Random(20261020)
     for _ in range(40):
-        plan = sieve.SegmentPlan(segment_size=2 ** rng.randint(1, 15))
-        span = 2 * plan.entries
+        span = 2 * segment_entries(8 * 2 ** rng.randint(1, 15))
         gaps = rng.sample([2, 6, 30, 64, 210], rng.randint(1, 5))
         limit = rng.randint(2, 20000)
         # checkpoints straddling segment boundaries, and a few at random
@@ -209,14 +214,15 @@ def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5):
               for d in (-2, -1, 0, 1, 2)}
         xs |= set(rng.sample(range(1, limit + 1), min(limit, 20)))
         xs = sorted(x for x in xs if 1 <= x <= limit)
-        counts = sieve.count_pairs_by_gap(limit, gaps, xs, plan)
-        starts = sieve.pair_starts_by_gap(limit, gaps, plan)
+        counts = sieve.count_pairs_by_gap(limit, gaps, xs)
+        starts = sieve.pair_starts_by_gap(limit, gaps)
         for gap, got, st in zip(gaps, counts, starts):
             want = [p for p in ps if p <= limit and p + gap in prime]
             assert st.tolist() == want, (gap, limit)
             assert got == [(x, bisect.bisect_right(want, x)) for x in xs]
-            assert np.array_equal(st, sieve.pair_starts(limit, gap, plan))
-            assert got == sieve.count_pairs_at(limit, gap, xs, plan)
+            assert np.array_equal(
+                st, sieve.pair_starts_by_gap(limit, [gap])[0])
+            assert got == sieve.count_pairs_by_gap(limit, [gap], xs)[0]
 
 
 def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
@@ -249,15 +255,15 @@ def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
     return out
 
 
-def _masks(limit, plan, gap):
+def _masks(limit, gap):
     """(lo, n, mask) per segment: the primes, or with a gap the pairs."""
     if not gap:
-        return list(sieve._segments(limit, plan))
+        return list(sieve._segments(limit))
     return [(lo, n, masks[0])
-            for lo, n, masks in sieve._pair_masks(limit, [gap], plan)]
+            for lo, n, masks in sieve._pair_masks(limit, [gap])]
 
 
-def test_tally_matches_one_count_per_checkpoint():
+def test_tally_matches_one_count_per_checkpoint(segment_entries):
     rng = random.Random(20260418)
     for _ in range(150):
         size = 2 ** rng.randint(1, 15)
@@ -266,9 +272,9 @@ def test_tally_matches_one_count_per_checkpoint():
         limit = rng.randint(2, 20000)
         xs = sorted(rng.sample(range(1, limit + 1),
                                min(limit, rng.randint(0, 300))))
-        plan = sieve.SegmentPlan(segment_size=size)
+        segment_entries(8 * size)
         args = (q, xs, not gap)
-        segments = _masks(limit, plan, gap)
+        segments = _masks(limit, gap)
         tally = sieve._Tally(*args)
         for seg in segments:
             tally.add(*seg)
