@@ -7,8 +7,9 @@ invocations with identical seeds produce identical bytes.
 Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
 non-convergence; each error class in primeraces.errors carries its code.
 Point and sample counts (geometric:lo:hi:n checkpoints, histogram samples,
---points, sawtooth --waves, walk --steps and --trials) above 10^5 are a
-capacity error, raised before anything is allocated.
+--points, sawtooth --waves, walk --steps and --trials), --modulus and the
+largest twins gap above 10^5 are a capacity error, raised before anything
+is allocated.
 walk --teams is uncapped: a walk costs O(trials x steps) whatever the team
 count, and with more teams than steps no trial can return, so nothing is
 drawn.
@@ -34,7 +35,7 @@ from .errors import CapacityError, DomainError, PrimeRacesError
 # histogram took 25 ms longer when the collection landed there).
 gc.collect()
 
-#: the most grid points, samples or waves one command may ask for
+#: the most grid points, samples, waves, modulus or pair gap a command takes
 COUNT_CAP = 10**5
 
 
@@ -157,8 +158,8 @@ def _parse_samples(text):
 
 def cmd_pi(args):
     limit = _parse_limit(args.limit)
+    q = 1 if args.modulus is None else _check_count(args.modulus, "--modulus")
     cks = _parse_checkpoints(args.checkpoints, limit)
-    q = 1 if args.modulus is None else args.modulus
     rows = sieve.count_in_progressions(limit, q, cks,
                                        allow_long=args.allow_long)
     side = ({args.checkpoint_file: sieve.format_checkpoints(rows)}
@@ -178,7 +179,7 @@ def cmd_pi(args):
 
 def cmd_race(args):
     limit = _parse_limit(args.limit)
-    teams = _parse_teams(args.teams, args.modulus)
+    teams = _parse_teams(args.teams, _check_count(args.modulus, "--modulus"))
     if args.dense and not (args.events or args.density):
         raise DomainError("dense mode emits --events or --density artifacts")
     if args.events or args.density:
@@ -278,6 +279,7 @@ def cmd_explicit(args):
 def cmd_twins(args):
     limit = _parse_limit(args.limit)
     gaps = _parse_ints(args.gaps, "gap list")
+    _check_count(max(gaps), "largest gap")
     if args.race:
         ledger, events = pairs.pair_race(gaps, limit,
                                          allow_long=args.allow_long,
@@ -298,6 +300,7 @@ def cmd_twins(args):
 
 def cmd_histogram(args):
     xs = _parse_samples(args.samples)
+    _check_count(args.modulus, "--modulus")
     a, b = args.residues
     if not {a, b} <= set(sieve.coprime_residues(args.modulus)):
         raise DomainError("residues %d, %d must be classes coprime to %d"

@@ -341,6 +341,8 @@ def leader_density(ledger, condition, X, kind):
         raise DomainError("density needs X >= 2")
     if X > ledger.limit:
         raise DomainError("X beyond the ledger limit")
+    if not float(X).is_integer():
+        raise DomainError("density needs an integer X, got %r" % X)
     if kind not in ("logarithmic", "natural"):
         raise DomainError("kind must be 'logarithmic' or 'natural'")
     def flags(mat):

@@ -336,6 +336,10 @@ def test_bad_input_is_usage_error(argv, capsys):
     ["sawtooth", "--waves", "100001", "--points", "5"],
     ["walk", "--teams", "3", "--steps", "100001", "--trials", "1"],
     ["walk", "--teams", "3", "--steps", "1", "--trials", "100001"],
+    ["pi", "--limit", "1000", "--modulus", "100001"],
+    ["race", "--modulus", "100001", "--teams", "1:3", "--limit", "1000"],
+    ["histogram", "--modulus", "100001"],
+    ["twins", "--limit", "1000", "--gaps", "2,100002"],
 ])
 def test_oversized_count_is_capacity_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)

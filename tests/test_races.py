@@ -276,6 +276,11 @@ def test_density_domain_errors(dense4_30k):
                              "harmonic")
     with pytest.raises(DomainError, match="one flag per sample"):
         races.leader_density(dense4_30k, lambda m: m, 100, "natural")
+    for X in (1000.5, math.nan):
+        for kind in ("logarithmic", "natural"):
+            with pytest.raises(DomainError, match="integer X"):
+                races.leader_density(dense4_30k, races.strictly_ahead(0), X,
+                                     kind)
 
 
 # ---------------------------------------------------------------------------
