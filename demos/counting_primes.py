@@ -18,7 +18,8 @@ for x, _ in rows:
              lf.riemann_overcount(x, pi_x)))
 
 print("\nthe refined prediction subtracts half the square-root count:")
-x, pi_x = 10**8, 5761455
+x = 10**8
+pi_x = sieve.count_primes(x)
 print("  li(1e8)            = %.3f" % lf.li_from_origin(x))
 print("  li(1e8)-li(1e4)/2  = %.3f" % (lf.li_from_origin(x)
                                        - 0.5 * lf.li_from_origin(10**4)))

@@ -4,6 +4,7 @@ Everything here works on odd numbers only: a segment is a numpy boolean
 array where entry ``i`` stands for the odd number ``lo + 2*i``.  The prime
 2 is handled out of band.  Segments are sieved one after another in
 ascending ``x`` order, and per-segment tallies merge by simple addition.
+A count pi(x) at one point needs no sieve: ``_lucy`` computes it.
 """
 
 import bisect
@@ -136,11 +137,35 @@ def primes_up_to(limit, allow_long=False):
     return np.concatenate(list(iter_prime_blocks(limit, allow_long)))
 
 
+def _lucy(x):
+    """pi(x) by Lucy's recursion (0 for x < 2), without a sieve.
+
+    S(v) counts 2..v that no prime below p divides, kept for the values
+    v = x // i and v <= isqrt(x).  Each prime p <= isqrt(x) in turn drops
+    the numbers whose least prime factor is p: S(v) -= S(v // p) - S(p - 1)
+    for every kept v >= p*p, which leaves S(x) = pi(x).  About x^(3/4)
+    steps over int64 arrays of isqrt(x) entries."""
+    x = int(x)
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    quot = x // np.arange(1, r + 1, dtype=np.int64)
+    big = quot - 1                              # big[i - 1] = S(x // i)
+    small = np.arange(-1, r, dtype=np.int64)    # small[v] = S(v)
+    v = np.arange(r + 1, dtype=np.int64)
+    for p in small_primes(r).tolist():
+        below = small[p - 1]
+        n = min(r, x // (p * p))                # x // i >= p*p for i <= n
+        k = min(n, r // p)                      # i*p <= r: x // (i*p) is big
+        big[:k] -= big[p - 1:k * p:p] - below
+        big[k:n] -= small[quot[k:n] // p] - below
+        small[p * p:] -= small[v[p * p:] // p] - below
+    return int(big[0])
+
+
 def count_primes(limit, allow_long=False):
-    """pi(limit) without materializing the primes."""
-    limit = check_limit(limit, allow_long)
-    return 1 + sum(int(np.count_nonzero(seg))
-                   for _, _, seg in _segments(limit))
+    """pi(limit) by Lucy's recursion: no sieve, the same limit policy."""
+    return _lucy(check_limit(limit, allow_long))
 
 
 def _residue_offset(lo, q, a):
@@ -204,16 +229,20 @@ class _Tally:
 
 
 def count_in_progressions(limit, q, checkpoints, allow_long=False):
-    """Exact pi(x; q, a) at every checkpoint, one sieve pass.
+    """Exact pi(x; q, a) at every checkpoint.
 
     Checkpoints must be ascending with max <= limit; counts cover every
     residue a coprime to q (for q = 1 the single class 0 holds pi(x)).
+    One checkpoint with q = 1 is one Lucy count (see ``_lucy``); any other
+    input is tallied in one sieve pass up to limit.
     """
     limit = check_limit(limit, allow_long)
     q = int(q)
     if q < 1:
         raise DomainError("modulus must be >= 1")
     checkpoints = _check_checkpoints(checkpoints, limit)
+    if q == 1 and len(checkpoints) == 1:
+        return [ResidueCounts(1, checkpoints[0], {0: _lucy(checkpoints[0])})]
     tally = _Tally(q, checkpoints, two=True)
     for lo, n, seg in _segments(limit):
         tally.add(lo, n, seg)

@@ -81,6 +81,43 @@ def test_pi_checkpoint_file_without_modulus(tmp_path, capsys):
         [(1, 100, {0: 25}), (1, 1000, {0: 168})]
 
 
+# one point with q = 1 is a Lucy count, under the sieve's limit checks
+@pytest.mark.parametrize("argv, want", [
+    (["--limit", "1"], 2),
+    (["--limit", "10000000001", "--allow-long"], 3),
+    (["--limit", "2e9"], 3),
+    (["--limit", "2e9", "--checkpoints", "1e6"], 3),
+    (["--limit", "1e8", "--checkpoints", "2e8"], 2),
+])
+def test_pi_at_one_point_exit_codes(argv, want, capsys):
+    code, out, err = run_cli(capsys, "pi", *argv)
+    assert code == want
+    assert out == "" and err.startswith("error: ")
+
+
+def test_pi_at_one_point_artifacts(tmp_path, capsys):
+    path = tmp_path / "t.chk"
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1e6",
+                           "--checkpoint-file", str(path))
+    assert code == 0 and out == "1000000,78498\n"
+    assert path.read_text() == "# modulus=1\n1000000,0:78498\n"
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1e6", "--format", "json")
+    assert code == 0 and out == '{"rows":[{"pi":78498,"x":1000000}]}\n'
+
+
+def test_pi_at_one_point_does_not_sieve(capsys, monkeypatch):
+    from primeraces import sieve
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a count at one point ran the sieve")
+    monkeypatch.setattr(sieve, "_segments", no_sieve)
+    assert sieve.count_primes(10**8) == 5761455
+    assert sieve.count_in_progressions(10**8, 1, [10**8])[0].counts == \
+        {0: 5761455}
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1e8")
+    assert code == 0 and out == "100000000,5761455\n"
+
+
 def test_race_events(capsys):
     code, out, _ = run_cli(capsys, "race", "--modulus", "4", "--teams",
                            "3:1", "--limit", "30000", "--dense", "--events")

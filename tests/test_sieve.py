@@ -40,6 +40,29 @@ def test_visitor_ascending_once_each():
     assert seen == sorted(set(seen))
 
 
+def test_lucy_matches_the_sieve():
+    # x = 2, 3, 4, the neighbours of each prime square (where a prime's
+    # first term enters the recursion) and random x, all <= 2e6
+    top = 2 * 10**6
+    ps = sieve.primes_up_to(top)
+    rng = random.Random(20261019)
+    xs = [2, 3, 4] + [p * p + d for p in ps[:300].tolist() for d in (-1, 0, 1)]
+    xs = [x for x in xs if x <= top] + [rng.randrange(5, top + 1)
+                                        for _ in range(300)]
+    want = np.searchsorted(ps, xs, side="right").tolist()
+    assert [sieve._lucy(x) for x in xs] == want
+
+
+@pytest.mark.parametrize("x, pi_x", [r[:2] for r in pub.PI_OVERCOUNT_ROWS])
+def test_count_primes_published(x, pi_x):
+    assert sieve.count_primes(x, allow_long=x > sieve.LONG_RUN_THRESHOLD) \
+        == pi_x
+
+
+def test_lucy_below_two_is_zero():
+    assert [sieve._lucy(x) for x in (-5, 0, 1)] == [0, 0, 0]
+
+
 def test_limit_validation():
     with pytest.raises(DomainError):
         sieve.count_primes(1)
@@ -145,13 +168,14 @@ def test_pair_counts_segment_invariance(segment_size, segment_entries):
 
 
 def test_count_invariance_under_segment_size(segment_entries):
+    # primes_up_to sieves; count_primes (Lucy) reads no segments
     for size in (2**10, 2**16, 2**20):
         segment_entries(8 * size)
-        assert sieve.count_primes(10**5) == 9592
+        assert len(sieve.primes_up_to(10**5)) == 9592
     # read on each pass, not bound at import: 499 odd numbers, 32 segments
     segment_entries(16)
     assert len(list(sieve._segments(1000))) == 32
-    assert sieve.count_primes(1000) == 168
+    assert len(sieve.primes_up_to(1000)) == 168
 
 
 @pytest.mark.parametrize("gap", [2, 6, 30, 64])
