@@ -11,15 +11,15 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          parse_zero_table, psi_rh_inequality_check,
                          quadratic, riemann_overcount, riemann_prediction,
                          write_zero_table)
-from .pairs import (GapSpec, HLConstants, PairCounts, compute_c2,
-                    count_pairs, hl_prediction, normalized_count, pair_race,
+from .pairs import (HLConstants, PairCounts, compute_c2, count_pairs,
+                    hl_prediction, normalized_count, pair_race,
                     singular_factor, singular_factor_value, twin_table)
 from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     RaceLedger, TeamSpec, WalkConfig, WalkTrial,
                     build_histogram, detect_lead_changes, error_term,
                     euler_phi, lead_windows, leader_density,
                     littlewood_bound, return_fraction,
-                    run_dense_race, run_race, shanks_ratio, simulate_tie_walk,
+                    run_dense_race, shanks_ratio, simulate_tie_walk,
                     splitmix64, squares_mod, strictly_ahead)
 from .sieve import (ResidueCounts, checkpoint_load, checkpoint_save,
                     count_in_progressions, count_primes, iter_prime_blocks,

@@ -123,11 +123,14 @@ def _parse_checkpoints(text, limit):
 
 
 def _parse_teams(text, q):
+    """Teams from their text, validated against q before anything runs."""
     if text == "squares:nonsquares":
         s, n = races.squares_mod(q)
         return [races.TeamSpec("S", s), races.TeamSpec("N", n)]
-    return [races.TeamSpec(part, _parse_ints(part, "team"))
-            for part in text.split(":")]
+    teams = [races.TeamSpec(part, _parse_ints(part, "team"))
+             for part in text.split(":")]
+    races._validate_teams(q, teams)
+    return teams
 
 
 def _parse_range(text):
@@ -180,18 +183,19 @@ def cmd_pi(args):
 def cmd_race(args):
     limit = _parse_limit(args.limit)
     teams = _parse_teams(args.teams, _check_count(args.modulus, "--modulus"))
-    if args.dense and not (args.events or args.density):
-        raise DomainError("dense mode emits --events or --density artifacts")
-    if args.events or args.density:
-        ledger = races.run_dense_race(limit, args.modulus, teams,
-                                      allow_long=args.allow_long)
-    else:
+    obj = {"modulus": args.modulus, "teams": [t.label for t in teams]}
+    if not (args.events or args.density):
         cks = _parse_checkpoints(args.checkpoints, limit)
-        counts = sieve.count_in_progressions(limit, args.modulus, cks,
-                                             allow_long=args.allow_long)
-        ledger = races.run_race(counts, teams)
-
-    obj = {"modulus": args.modulus, "teams": ledger.labels}
+        obj["rows"] = [{"x": rc.x, "counts": {
+            t.label: sum(rc.counts[r] for r in t.residues) for t in teams}}
+            for rc in sieve.count_in_progressions(
+                limit, args.modulus, cks, allow_long=args.allow_long)]
+        if args.format == "json":
+            return _json(obj)
+        return "".join("%d,%s\n" % (r["x"], ",".join(
+            "%s:%d" % c for c in r["counts"].items())) for r in obj["rows"])
+    ledger = races.run_dense_race(limit, args.modulus, teams,
+                                  allow_long=args.allow_long)
     events = races.detect_lead_changes(ledger) if args.events else None
     # CSV events carry no density, so it is computed only when emitted
     if args.density and (args.format == "json" or events is None):
@@ -200,20 +204,7 @@ def cmd_race(args):
         obj["density"] = {"X": d.X, "kind": d.kind, "value": d.value}
     if events is not None:
         return _events(events, args.format, obj)
-    if args.density:
-        return _json(obj if args.format == "json" else obj["density"])
-    if args.format == "json":
-        obj["rows"] = [
-            {"x": int(x), "counts": {lab: int(ledger.counts[i, j])
-                                     for i, lab in enumerate(ledger.labels)}}
-            for j, x in enumerate(ledger.xs)]
-        return _json(obj)
-    buf = io.StringIO()
-    for j, x in enumerate(ledger.xs):
-        cols = ",".join("%s:%d" % (lab, ledger.counts[i, j])
-                        for i, lab in enumerate(ledger.labels))
-        buf.write("%d,%s\n" % (x, cols))
-    return buf.getvalue()
+    return _json(obj if args.format == "json" else obj["density"])
 
 
 def cmd_zeros(args):
@@ -414,7 +405,6 @@ def build_parser():
                     "or squares:nonsquares")
     sp.add_argument("--limit", required=True)
     sp.add_argument("--checkpoints")
-    sp.add_argument("--dense", action="store_true")
     sp.add_argument("--events", action="store_true")
     sp.add_argument("--density", choices=["log", "natural"])
     common(sp, cmd_race)

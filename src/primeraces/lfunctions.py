@@ -408,8 +408,11 @@ def find_zeros(lid, t_max):
 
     def scan(spans, step, depth):
         """Sign-change brackets (a, b, f(a)) on the grids of this step over
-        the spans (a, b), all evaluated in one grid call."""
+        the spans (a, b), all evaluated in one grid call.  The top-level
+        grid gets t_max appended where its steps stop short of it."""
         grids = [np.arange(a, b + step / 2, step) for a, b in spans]
+        if depth == 0 and grids[0][-1] < t_max:
+            grids[0] = np.append(grids[0], t_max)
         values = _hardy_z_grid(lid, np.concatenate(grids), n_terms)
         found, dips = [], []
         for ts in grids:

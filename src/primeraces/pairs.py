@@ -14,27 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sieve
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .lfunctions import li2
-from .races import RaceLedger, TeamSpec, detect_lead_changes
-
-
-@dataclass(frozen=True)
-class GapSpec:
-    gap: int
-
-    def __post_init__(self):
-        if self.gap < 2 or self.gap % 2 != 0:
-            raise DomainError("gap must be a positive even integer")
-
-    @property
-    def k(self):
-        return self.gap // 2
+from .races import RaceLedger, detect_lead_changes
 
 
 @dataclass
 class PairCounts:
-    gap: GapSpec
+    gap: int
     xs: np.ndarray
     counts: np.ndarray
 
@@ -100,7 +87,7 @@ def singular_factor_value(k):
 
 def normalized_count(counts):
     """pi'_2k series: raw counts times the reciprocal singular factor."""
-    num, den = singular_factor(counts.gap.k)
+    num, den = singular_factor(counts.gap // 2)
     return counts.counts * (den / num)
 
 
@@ -112,15 +99,11 @@ def hl_prediction(x, constants=None):
     return 2.0 * constants.c2 * li2(x)
 
 
-def _gap_specs(gaps):
-    return [g if isinstance(g, GapSpec) else GapSpec(int(g)) for g in gaps]
-
-
 def _count_pairs(limit, gaps, checkpoints, allow_long):
-    """One PairCounts per GapSpec, all from one sieve pass."""
+    """One PairCounts per gap, all from one sieve pass."""
+    gaps = sieve._check_gaps(gaps)
     checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
-    rows = sieve.count_pairs_by_gap(limit, [g.gap for g in gaps],
-                                    checkpoints, allow_long)
+    rows = sieve.count_pairs_by_gap(limit, gaps, checkpoints, allow_long)
     return [PairCounts(g, np.array([x for x, _ in r], dtype=np.int64),
                        np.array([c for _, c in r], dtype=np.int64))
             for g, r in zip(gaps, rows)]
@@ -128,14 +111,14 @@ def _count_pairs(limit, gaps, checkpoints, allow_long):
 
 def count_pairs(limit, gap, checkpoints=None, allow_long=False):
     """pi_2k at the given checkpoints (default: just the limit)."""
-    return _count_pairs(limit, _gap_specs([gap]), checkpoints, allow_long)[0]
+    return _count_pairs(limit, [gap], checkpoints, allow_long)[0]
 
 
 def _scaled_teams(gaps):
     """Common-denominator integer scale factors for exact normalized
     comparisons: scale_g = den_lcm * num_rec / den_rec with the reciprocal
     singular factor num_rec/den_rec = (p-2)/(p-1) products."""
-    recs = [singular_factor(g.k) for g in gaps]  # counts times den/num
+    recs = [singular_factor(g // 2) for g in gaps]  # counts times den/num
     lcm = math.lcm(*(num for num, _ in recs))
     return [den * (lcm // num) for num, den in recs]
 
@@ -162,15 +145,18 @@ def pair_race(gaps, limit, allow_long=False, place="first"):
     any gap's count changes, so place changes are exact; events follow the
     same strict-leader/tie convention as the progression races, tracking
     first place by default (pass place="last", or run detect_lead_changes
-    on the returned ledger, for the trailing position).
+    on the returned ledger, for the trailing position).  A scaled count is
+    at most max(scales) * (limit // 2 + 1); gap sets whose bound exceeds
+    int64 are a CapacityError.
     """
-    gaps = _gap_specs(gaps)
+    gaps = sieve._check_gaps(gaps)
+    limit = sieve.check_limit(limit, allow_long, extra=max(gaps))
     scales = _scaled_teams(gaps)
-    teams = [TeamSpec(str(g.gap), {1}) for g in gaps]  # labels only
-    raw = sieve._check_gaps([g.gap for g in gaps])
-    limit = sieve.check_limit(limit, allow_long, extra=max(raw))
-    chunks = functools.partial(_pair_chunks, limit, raw, scales)
-    ledger = RaceLedger(teams, dense=True, limit=limit, chunks=chunks)
+    if max(scales) * (limit // 2 + 1) > np.iinfo(np.int64).max:
+        raise CapacityError("pair-count scale %d times up to %d pairs "
+                            "exceeds int64" % (max(scales), limit // 2 + 1))
+    chunks = functools.partial(_pair_chunks, limit, gaps, scales)
+    ledger = RaceLedger(map(str, gaps), limit, chunks)
     return ledger, detect_lead_changes(ledger, place)
 
 
@@ -184,7 +170,6 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     raw count, normalized count, prediction, and the difference under both
     rounding conventions (exact-then-round, and subtract-the-floored-
     prediction as the published tables do)."""
-    gaps = _gap_specs(gaps)
     checkpoints = sorted(int(x) for x in checkpoints)
     if not checkpoints:
         raise DomainError("no checkpoints")
@@ -193,13 +178,13 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     constants = constants or compute_c2()
     rows = []
     preds = {x: hl_prediction(x, constants) for x in checkpoints}
-    for g, pc in zip(gaps, counts):
+    for pc in counts:
         norm = normalized_count(pc)
         for x, raw, nv in zip(pc.xs, pc.counts, norm):
             x = int(x)
             rows.append({
                 "x": x,
-                "gap": g.gap,
+                "gap": pc.gap,
                 "raw": int(raw),
                 "normalized": float(nv),
                 "hl_prediction": preds[x],

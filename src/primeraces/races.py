@@ -1,10 +1,10 @@
 """Race bookkeeping over progression counts.
 
 A race pits disjoint teams of residue classes mod q against each other.
-Ledgers hold per-team cumulative counts, either at sparse checkpoints or
-densely at every prime up to a limit; a dense ledger streams its counts
-one sieve segment at a time.  A "leader" requires strict inequality; ties
-are a distinct state and generate their own lead-change events.
+A ledger holds per-team cumulative counts at every prime up to a limit
+and streams them one sieve segment at a time.  A "leader" requires strict
+inequality; ties are a distinct state and generate their own lead-change
+events.
 """
 
 import functools
@@ -85,24 +85,17 @@ class WalkTrial:
 class RaceLedger:
     """Per-team cumulative counts sampled at ascending x values.
 
-    ``dense`` means the samples cover every prime up to ``limit``, which is
-    what lead-change detection and density measures require.  ``chunks()``
-    yields (xs, counts) blocks in ascending x, counts of shape
-    (len(teams), len(xs)).  A dense ledger keeps only that source and sieves
+    The samples cover every x <= ``limit`` where some team's count changes,
+    which is what lead-change detection and density measures require.
+    ``chunks()`` yields (xs, counts) blocks in ascending x, counts of shape
+    (len(labels), len(xs)).  The ledger keeps only that source and sieves
     afresh on each call, so it holds one segment at a time; its ``xs`` and
     ``counts`` are both concatenated from one pass over the blocks on first
     use of either.
     """
 
-    def __init__(self, teams, xs=None, counts=None, dense=False, limit=0,
-                 chunks=None):
-        self.teams = list(teams)
-        self.dense, self.limit = dense, limit
-        self.labels = [t.label for t in self.teams]
-        if chunks is None:
-            self.xs, self.counts = xs, counts
-            chunks = lambda: iter([(xs, counts)])
-        self.chunks = chunks
+    def __init__(self, labels, limit, chunks):
+        self.labels, self.limit, self.chunks = list(labels), limit, chunks
 
     @functools.cached_property
     def xs(self):
@@ -114,7 +107,7 @@ class RaceLedger:
 
     def _join(self):
         empty = (np.empty(0, np.int64),
-                 np.empty((len(self.teams), 0), np.int64))
+                 np.empty((len(self.labels), 0), np.int64))
         self.xs, self.counts = (np.concatenate(b, axis=-1)
                                 for b in zip(empty, *self.chunks()))
         return self.xs, self.counts
@@ -131,19 +124,6 @@ def _validate_teams(q, teams):
             if r in seen:
                 raise DomainError("residue %d claimed by two teams" % r)
             seen.add(r)
-
-
-def run_race(counts, teams):
-    """Aggregate ResidueCounts checkpoints into a sparse team ledger."""
-    counts = list(counts)
-    if not counts:
-        raise DomainError("no checkpoints to race over")
-    q = counts[0].modulus
-    _validate_teams(q, teams)
-    xs = np.array([rc.x for rc in counts], dtype=np.int64)
-    mat = np.array([[sum(rc.counts[r] for r in t.residues) for rc in counts]
-                    for t in teams], dtype=np.int64)
-    return RaceLedger(list(teams), xs, mat, dense=False, limit=int(xs[-1]))
 
 
 def _race_chunks(limit, q, teams, allow_long):
@@ -163,11 +143,11 @@ def _race_chunks(limit, q, teams, allow_long):
 
 
 def run_dense_race(limit, q, teams, allow_long=False):
-    """Ledger sampled at every prime <= limit (the dense mode)."""
+    """Ledger sampled at every prime <= limit."""
     _validate_teams(q, teams)
     limit = sieve.check_limit(limit, allow_long)
     chunks = functools.partial(_race_chunks, limit, q, list(teams), allow_long)
-    return RaceLedger(teams, dense=True, limit=limit, chunks=chunks)
+    return RaceLedger([t.label for t in teams], limit, chunks)
 
 
 def _states(mat, place="first"):
@@ -190,14 +170,12 @@ def _states(mat, place="first"):
 
 
 def _changes(ledger, value, X):
-    """Scan a dense ledger for the samples x <= X where ``value`` (one entry
-    per sample of a teams x samples block of counts) changes, starting from
+    """Scan a ledger for the samples x <= X where ``value`` (one entry per
+    sample of a teams x samples block of counts) changes, starting from
     its value at the all-zero counts and stopping after the block that
     holds X.  Returns that start value, the int64 (x, old, new) rows of the
     changes (shape 3 x changes) and the value at X."""
-    if not ledger.dense:
-        raise DomainError("this scan needs a dense ledger")
-    start = last = value(np.zeros((len(ledger.teams), 1), np.int64))[0]
+    start = last = value(np.zeros((len(ledger.labels), 1), np.int64))[0]
     rows = [np.empty((3, 0), np.int64)]
     for xs, mat in ledger.chunks():
         n = int(np.searchsorted(xs, X, side="right"))

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -120,7 +121,7 @@ def test_pi_at_one_point_does_not_sieve(capsys, monkeypatch):
 
 def test_race_events(capsys):
     code, out, _ = run_cli(capsys, "race", "--modulus", "4", "--teams",
-                           "3:1", "--limit", "30000", "--dense", "--events")
+                           "3:1", "--limit", "30000", "--events")
     assert code == 0
     lines = out.strip().splitlines()
     first_team1 = next(l for l in lines if l.endswith(",1"))
@@ -143,6 +144,17 @@ def test_race_overlap_usage_error(capsys):
     code, _, _ = run_cli(capsys, "race", "--modulus", "4", "--teams",
                          "3:1,3", "--limit", "1000")
     assert code == 2
+
+
+def test_race_teams_checked_before_sieving(capsys, monkeypatch):
+    from primeraces import sieve
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("bad teams reached the sieve")
+    monkeypatch.setattr(sieve, "_segments", no_sieve)
+    code, _, err = run_cli(capsys, "race", "--modulus", "4", "--teams",
+                           "2:1", "--limit", "1e9")
+    assert code == 2 and "coprime" in err
 
 
 def test_race_squares_teams(capsys):
@@ -314,6 +326,21 @@ def test_cache_env_resolves_relative_out(tmp_path, capsys, monkeypatch):
                            "--out", "pi.csv")
     assert code == 0
     assert (tmp_path / "cache" / "pi.csv").read_text() == "100,25\n"
+
+
+def test_readme_cli_examples_parse(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("primeraces ")]
+    assert examples
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail("README example does not parse: primeraces %s\n%s"
+                        % (" ".join(argv), capsys.readouterr().err))
 
 
 def test_console_entry_point():

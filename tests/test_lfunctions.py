@@ -323,6 +323,15 @@ def test_beta4_zeros_against_completed_function_oracle():
         assert abs(mp_beta4(0.5 + 1j * float(g))) < 1e-8
 
 
+def test_zero_just_below_t_max_is_found():
+    # the scan steps stop at 178.35, short of t_max; beta4's 107th zero
+    # lies between them
+    tab = lf.find_zeros(lf.BETA4, 178.373)
+    assert len(tab) == 107
+    assert tab.ordinates[-1] == pytest.approx(178.362374909, abs=1e-8)
+    assert abs(mp_beta4(0.5 + 1j * float(tab.ordinates[-1]))) < 1e-8
+
+
 def test_zeta_zeros_to_500_are_all_269():
     tab = lf.find_zeros(lf.ZETA, 500)
     assert len(tab) == 269  # N(500)

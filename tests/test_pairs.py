@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from primeraces import pairs, sieve
-from primeraces.errors import DomainError
+from primeraces import cli, pairs, sieve
+from primeraces.errors import CapacityError, DomainError
 
 import published_tables as pub
 
@@ -53,8 +53,7 @@ def test_normalized_counts():
 
 
 def test_normalization_linearity():
-    pc = pairs.PairCounts(pairs.GapSpec(30), np.array([10, 100]),
-                          np.array([8, 80]))
+    pc = pairs.PairCounts(30, np.array([10, 100]), np.array([8, 80]))
     norm = pairs.normalized_count(pc)
     assert norm[1] == pytest.approx(10 * norm[0])
 
@@ -159,6 +158,25 @@ def test_pair_race_distinct_gaps():
         pairs.twin_table([2], [])
 
 
+def test_pair_race_scales_that_overflow_int64_are_refused(tmp_path,
+                                                          capsys):
+    # the exact scaled counts here are about 3.4e20, past int64
+    with pytest.raises(CapacityError, match="int64"):
+        pairs.pair_race([2, 99998, 99986, 99982, 99914], 10**6)
+    out = tmp_path / "race.csv"
+    gaps = ("99754,99782,99838,99842,99854,99874,99878,99886,99914,99982,"
+            "99986,99998")
+    code = cli.main(["twins", "--limit", "1000", "--race", "--gaps", gaps,
+                     "--out", str(out)])
+    _, err = capsys.readouterr()
+    assert code == 3 and "int64" in err and "Traceback" not in err
+    assert not out.exists()
+    # the default gaps' scales stay within int64 up to the hard cap
+    scales = pairs._scaled_teams([2, 4, 6, 8, 10])
+    assert scales == [4, 4, 2, 4, 3]
+    assert max(scales) * (sieve.HARD_CAP // 2 + 1) < 2**63
+
+
 def test_c2_cached(c2):
     assert pairs.compute_c2() is c2
     assert pairs.hl_prediction(10**6) == pairs.hl_prediction(
@@ -167,7 +185,10 @@ def test_c2_cached(c2):
 
 def test_gap_validation():
     for bad in (0, -2, 3):
-        with pytest.raises(DomainError):
-            pairs.GapSpec(bad)
+        for call in (lambda: pairs.count_pairs(1000, bad),
+                     lambda: pairs.pair_race([2, bad], 1000),
+                     lambda: pairs.twin_table([2, bad], [1000])):
+            with pytest.raises(DomainError, match="gap"):
+                call()
     with pytest.raises(DomainError):
         pairs.compute_c2(2)

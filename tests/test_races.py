@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from primeraces import races, sieve
+from primeraces import cli, races, sieve
 from primeraces.errors import DomainError
 
 import published_tables as pub
@@ -25,32 +26,36 @@ def dense4_1e7():
     return races.run_dense_race(10**7, 4, TEAMS4)
 
 
-def test_mod3_race_table():
-    xs = [r[0] for r in pub.MOD3_ROWS]
-    counts = sieve.count_in_progressions(10**7, 3, xs)
-    teams = [races.TeamSpec("2", {2}), races.TeamSpec("1", {1})]
-    ledger = races.run_race(counts, teams)
-    for j, (x, t2, t1) in enumerate(pub.MOD3_ROWS):
-        assert ledger.xs[j] == x
-        assert ledger.counts[0, j] == t2
-        assert ledger.counts[1, j] == t1
+def race_table(capsys, *argv):
+    """Rows of the CLI race table, as JSON."""
+    assert cli.main(["race", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
 
 
-def test_run_race_rejects_overlap_and_noncoprime():
-    counts = sieve.count_in_progressions(100, 4, [100])
-    with pytest.raises(DomainError):
-        races.run_race(counts, [races.TeamSpec("a", {3}),
-                                races.TeamSpec("b", {3})])
-    with pytest.raises(DomainError):
-        races.run_race(counts, [races.TeamSpec("a", {2})])
+def test_mod3_race_table(capsys):
+    xs = ",".join(str(r[0]) for r in pub.MOD3_ROWS)
+    rows = race_table(capsys, "--modulus", "3", "--teams", "2:1",
+                      "--limit", "1e7", "--checkpoints", xs)
+    assert rows == [{"x": x, "counts": {"2": t2, "1": t1}}
+                    for x, t2, t1 in pub.MOD3_ROWS]
 
 
-def test_single_all_residue_team_matches_partition(primes_1e6):
-    counts = sieve.count_in_progressions(10**6, 10, [10**6])
-    team = [races.TeamSpec("all", {1, 3, 7, 9})]
-    ledger = races.run_race(counts, team)
+def test_run_race_rejects_overlap_and_noncoprime(capsys):
+    for teams in ([races.TeamSpec("a", {3}), races.TeamSpec("b", {3})],
+                  [races.TeamSpec("a", {2})]):
+        with pytest.raises(DomainError):
+            races.run_dense_race(100, 4, teams)
+    for text in ("3:3", "2", "1:5"):
+        assert cli.main(["race", "--modulus", "4", "--teams", text,
+                         "--limit", "100"]) == 2
+
+
+def test_single_all_residue_team_matches_partition(capsys, primes_1e6):
+    rows = race_table(capsys, "--modulus", "10", "--teams", "1,3,7,9",
+                      "--limit", "1e6")
     pi_x = len(primes_1e6)
-    assert ledger.counts[0, 0] == pi_x - 2  # primes 2 and 5 divide 10
+    # primes 2 and 5 divide 10
+    assert rows == [{"x": 10**6, "counts": {"1,3,7,9": pi_x - 2}}]
 
 
 def test_first_lead_at_26861(dense4_30k):
@@ -68,9 +73,8 @@ def test_lead_windows_ground_truth(dense4_30k):
 
 
 def test_first_lead_margin_is_one_prime():
-    counts = sieve.count_in_progressions(30000, 4, [26861])
-    ledger = races.run_race(counts, TEAMS4)
-    assert ledger.counts[1, 0] - ledger.counts[0, 0] == 1
+    [rc] = sieve.count_in_progressions(30000, 4, [26861])
+    assert rc.counts[1] - rc.counts[3] == 1
 
 
 def test_lead_change_count_consistency(dense4_30k):
@@ -85,18 +89,6 @@ def test_lead_change_count_consistency(dense4_30k):
 def test_single_team_race_has_no_events():
     ledger = races.run_dense_race(10**4, 4, [races.TeamSpec("3", {3})])
     assert races.detect_lead_changes(ledger) == []
-
-
-def test_sparse_ledger_rejected():
-    counts = sieve.count_in_progressions(1000, 4, [100, 1000])
-    ledger = races.run_race(counts, TEAMS4)
-    with pytest.raises(DomainError):
-        races.detect_lead_changes(ledger)
-    with pytest.raises(DomainError):
-        races.lead_windows(ledger, "1")
-    with pytest.raises(DomainError):
-        races.leader_density(ledger, races.strictly_ahead(0), 1000,
-                             "natural")
 
 
 def _count_passes(ledger):
