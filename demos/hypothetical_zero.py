@@ -14,16 +14,16 @@ z = waves.HypotheticalZero(sigma=0.75, gamma=1.0)
 print("zero at sigma=%.2f, gamma=%.2f" % (z.sigma, z.gamma))
 
 print("\nprofiles at a few x (residues 1, 2, 3, 4):")
-for x in (10, 10**3, 10**6, 10**9):
-    p = waves.ford_konyagin_profile(z, x)
-    print("  x=%-8g  %+.3f  %+.3f  %+.3f  %+.3f" % ((x,) + p))
+xs = (10, 10**3, 10**6, 10**9)
+for x, p in zip(xs, waves.ford_konyagin_grid(z, xs).T.tolist()):
+    print("  x=%-8g  %+.3f  %+.3f  %+.3f  %+.3f" % (x, *p))
 
 grid = waves.log_grid(2, 10**10, 10**4)
 rows = waves.ford_konyagin_grid(z, grid)
 print("\nantisymmetry max |p1+p4|, |p2+p3|: %g, %g"
       % (np.abs(rows[0] + rows[3]).max(), np.abs(rows[1] + rows[2]).max()))
 
-count = waves.forbidden_ordering_count(z, grid, slack=z.sigma / 2)
+count = waves.forbidden_ordering_count(z, grid)
 print("occurrences of the ordering 3<2<4<1 with slack sigma/2 "
       "over %d points: %d" % (len(grid), count))
 

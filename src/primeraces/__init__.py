@@ -13,7 +13,7 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          write_zero_table)
 from .pairs import (HLConstants, PairCounts, compute_c2, count_pairs,
                     hl_prediction, normalized_count, pair_race,
-                    singular_factor, singular_factor_value, twin_table)
+                    singular_factor, twin_table)
 from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     RaceLedger, TeamSpec, WalkConfig, WalkTrial,
                     build_histogram, detect_lead_changes, error_term,
@@ -25,9 +25,8 @@ from .sieve import (ResidueCounts, checkpoint_load, checkpoint_save,
                     count_in_progressions, count_primes, iter_prime_blocks,
                     primes_up_to)
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
-                    compare_series, ford_konyagin_grid,
-                    ford_konyagin_profile, forbidden_ordering_count,
-                    lhs_mod4, lhs_pi_li, log_grid, sawtooth_partial_sum,
-                    wave_series, wave_sum)
+                    compare_series, forbidden_ordering_count,
+                    ford_konyagin_grid, lhs_pi_li, log_grid,
+                    sawtooth_partial_sum, wave_series)
 
 __version__ = "0.1.0"

@@ -218,8 +218,6 @@ def cmd_zeros(args):
 
 
 def cmd_explicit(args):
-    if not os.path.exists(args.zeros):
-        raise OSError("zeros file %s not found" % args.zeros)
     table = lf.parse_zero_table(args.zeros)
     lo, hi = _parse_range(args.range)
     grid = waves.log_grid(lo, hi, _check_count(args.points, "--points"))
@@ -232,8 +230,8 @@ def cmd_explicit(args):
         truth = waves.lhs_pi_li(grid, pi_at)
     else:
         res = primes % 4
-        truth = waves.lhs_mod4(grid, np.cumsum(res == 3)[pi_at - 1],
-                               np.cumsum(res == 1)[pi_at - 1])
+        truth = races.shanks_ratio(grid, np.cumsum(res == 3)[pi_at - 1],
+                                   np.cumsum(res == 1)[pi_at - 1])
 
     truth_series = waves.WaveSeries(0, grid, truth)
     columns = [("truth", truth)]
@@ -329,7 +327,7 @@ def cmd_walk(args):
         "teams": args.teams, "steps": args.steps, "trials": args.trials,
         "seed": args.seed,
         "returned": len(returned),
-        "return_fraction": len(returned) / len(trials),
+        "return_fraction": races.return_fraction(trials),
         "mean_first_return": (sum(t.first_return_step for t in returned)
                               / len(returned)) if returned else None,
     })
@@ -338,7 +336,7 @@ def cmd_walk(args):
 def cmd_psi(args):
     limit = _parse_limit(args.limit)
     xs = [x for x in presets.TABLE_COLUMNS["psi"] if x <= limit] or [limit]
-    primes = sieve.primes_up_to(xs[-1], allow_long=args.allow_long)
+    primes = sieve.primes_up_to(xs[-1])
     rows = []
     for x in xs:
         v = lf.chebyshev_psi(x, primes)
@@ -449,7 +447,7 @@ def build_parser():
 
     sp = sub.add_parser("psi", help="prime-power log sums vs x")
     sp.add_argument("--limit", required=True)
-    common(sp, cmd_psi)
+    common(sp, cmd_psi, allow_long=False)
 
     sp = sub.add_parser("sawtooth", help="Fourier wave demo for x - 1/2")
     sp.add_argument("--waves", type=int, required=True)

@@ -161,20 +161,15 @@ def riemann_prediction(x):
     return li(x) - 0.5 * li(math.sqrt(x))
 
 
-def gauss_overcount(x, pi_x, from_origin=True):
+def gauss_overcount(x, pi_x):
     """Overcount column of the published prime-count tables: li - pi,
-    rounded down.  The published columns track the origin-based li; pass
-    from_origin=False for the 2-based integral instead."""
-    base = li_from_origin(x) if from_origin else li(x)
-    return math.floor(base - pi_x)
+    rounded down, with the origin-based li the published columns track."""
+    return math.floor(li_from_origin(x) - pi_x)
 
 
-def riemann_overcount(x, pi_x, from_origin=True):
+def riemann_overcount(x, pi_x):
     """li(x) - li(sqrt x)/2 - pi(x), rounded down like the other column."""
-    if from_origin:
-        base = li_from_origin(x) - 0.5 * li_from_origin(math.sqrt(x))
-    else:
-        base = riemann_prediction(x)
+    base = li_from_origin(x) - 0.5 * li_from_origin(math.sqrt(x))
     return math.floor(base - pi_x)
 
 
@@ -232,11 +227,11 @@ def _cvz_weights(n):
     return w
 
 
-def default_terms(im_s, tol=1e-12):
-    """Acceleration order needed for |Im s| at the given tolerance."""
+def default_terms(im_s):
+    """Acceleration order needed for |Im s| at a tolerance of 1e-12."""
     t = abs(float(im_s))
     return max(24, int(math.ceil(
-        (0.5 * math.pi * t + math.log(1.0 / tol) + 6.0) / _LOG_CVZ)) + 8)
+        (0.5 * math.pi * t + math.log(1e12) + 6.0) / _LOG_CVZ)) + 8)
 
 
 def _l_grid(lid, sigma, ts, n_terms):
@@ -471,7 +466,7 @@ def _parse_lid(text):
     raise DomainError("unknown L-function %r" % text)
 
 
-def parse_zero_table(path, lid=None, precision=1e-9):
+def parse_zero_table(path, lid=None):
     """Read a zero-table file; a header `# lfunction=` must agree with the
     expected id when both are present."""
     ordinates = []
@@ -500,4 +495,5 @@ def parse_zero_table(path, lid=None, precision=1e-9):
             ordinates.append(g)
     if lid is not None and file_id is not None and file_id != lid:
         raise ParseError("file holds %s, expected %s" % (file_id, lid))
-    return ZeroTable(file_id or lid or ZETA, np.array(ordinates), precision)
+    return ZeroTable(file_id or lid or ZETA, np.array(ordinates),
+                     ZERO_PRECISION)

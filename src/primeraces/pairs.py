@@ -80,11 +80,6 @@ def singular_factor(k):
     return num // g, den // g
 
 
-def singular_factor_value(k):
-    num, den = singular_factor(k)
-    return num / den
-
-
 def normalized_count(counts):
     """pi'_2k series: raw counts times the reciprocal singular factor."""
     num, den = singular_factor(counts.gap // 2)
@@ -170,7 +165,9 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     raw count, normalized count, prediction, and the difference under both
     rounding conventions (exact-then-round, and subtract-the-floored-
     prediction as the published tables do)."""
-    checkpoints = sorted(int(x) for x in checkpoints)
+    # sieve._check_checkpoints, inside count_pairs_by_gap, refuses them
+    # unless strictly ascending and <= limit, after the limit check as in pi
+    checkpoints = [int(x) for x in checkpoints]
     if not checkpoints:
         raise DomainError("no checkpoints")
     limit = limit or checkpoints[-1]

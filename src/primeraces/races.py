@@ -144,9 +144,12 @@ def _race_chunks(limit, q, teams, allow_long):
 
 def run_dense_race(limit, q, teams, allow_long=False):
     """Ledger sampled at every prime <= limit."""
+    teams = list(teams)
+    if not teams:
+        raise DomainError("a race needs at least one team")
     _validate_teams(q, teams)
     limit = sieve.check_limit(limit, allow_long)
-    chunks = functools.partial(_race_chunks, limit, q, list(teams), allow_long)
+    chunks = functools.partial(_race_chunks, limit, q, teams, allow_long)
     return RaceLedger([t.label for t in teams], limit, chunks)
 
 
@@ -337,14 +340,13 @@ def leader_density(ledger, condition, X, kind):
     return DensityEstimate(int(X), kind, value)
 
 
-def strictly_ahead(team_index, others=None):
-    """Condition factory: team `team_index` strictly above all `others`."""
+def strictly_ahead(team_index):
+    """Condition factory: team `team_index` strictly above every other."""
     def cond(mat):
-        rest = [i for i in range(mat.shape[0]) if i != team_index] \
-            if others is None else list(others)
         out = np.ones(mat.shape[1], dtype=bool)
-        for j in rest:
-            out &= mat[team_index] > mat[j]
+        for j in range(mat.shape[0]):
+            if j != team_index:
+                out &= mat[team_index] > mat[j]
         return out
     return cond
 

@@ -70,16 +70,10 @@ def sawtooth_partial_sum(x, n_waves):
     return float(np.sum(-2.0 * np.sin(2 * math.pi * n * x) / (2 * math.pi * n)))
 
 
-def wave_sum(table, x, zeros_used=None):
-    """1 + 2 * sum over ordinates of sin(gamma ln x)/gamma."""
-    if x < 2:
-        raise DomainError("wave sum needs x >= 2")
-    return float(wave_series(table, [x], zeros_used).values[0])
-
-
 def wave_series(table, x_grid, zeros_used=None):
-    """Evaluate the wave sum over the lowest ``zeros_used`` ordinates (all
-    of them for None) on a whole grid."""
+    """The wave sum 1 + 2 * sum over ordinates of sin(gamma ln x)/gamma,
+    over the lowest ``zeros_used`` ordinates (all of them for None), on a
+    whole grid of x >= 2."""
     if zeros_used is not None and zeros_used < 0:
         raise DomainError("zeros_used must be >= 0, got %d" % zeros_used)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -88,33 +82,17 @@ def wave_series(table, x_grid, zeros_used=None):
     return WaveSeries(len(g), x_grid, vals)
 
 
-def lhs_pi_li(x, pi_x, use_half_li_sqrt=False):
+def lhs_pi_li(x, pi_x):
     """(Li(x) - pi(x)) normalized by sqrt(x)/ln(x), elementwise over arrays
-    of x and pi(x); with ``use_half_li_sqrt`` the denominator is
-    Li(sqrt x)/2 instead, the variant that displays better at small x.
-    Li is evaluated once over the whole grid, in closed form."""
+    of x and pi(x).  Li is evaluated once over the whole grid, in closed
+    form."""
     x = np.asarray(x, dtype=float)
-    if not use_half_li_sqrt:
-        return shanks_ratio(x, li(x), pi_x)
-    # Li(sqrt 4)/2 = 0, so the variant starts just above x = 4
-    if np.any(x <= 4):
-        raise DomainError("normalization by Li(sqrt x)/2 needs x > 4")
-    return (li(x) - pi_x) / (0.5 * li(np.sqrt(x)))
-
-
-def lhs_mod4(x, count_3, count_1):
-    """The mod-4 target: same statistic as the histogram ratio."""
-    return shanks_ratio(x, count_3, count_1)
-
-
-def ford_konyagin_profile(z, x):
-    """Right-hand sides of the four normalized mod-5 deviations under one
-    off-line zero at one x: a = 1, 2, 3, 4 in that order."""
-    return tuple(float(v) for v in ford_konyagin_grid(z, [x])[:, 0])
+    return shanks_ratio(x, li(x), pi_x)
 
 
 def ford_konyagin_grid(z, x_grid):
-    """Profile rows (4, n) over a grid; rows follow residues 1, 2, 3, 4."""
+    """Right-hand sides of the four normalized mod-5 deviations under one
+    off-line zero, as rows (4, n) over a grid: residues 1, 2, 3, 4."""
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid < 2):
         raise DomainError("profile grid needs x >= 2")
@@ -126,11 +104,11 @@ def ford_konyagin_grid(z, x_grid):
                      z.sigma * c + z.gamma * s])
 
 
-def forbidden_ordering_count(z, x_grid, slack=None):
+def forbidden_ordering_count(z, x_grid):
     """How many grid points realize the ordering 3 < 2 < 4 < 1, every
-    inequality by more than ``slack`` (default sigma/2).  The construction
-    says: none, once x is large."""
-    slack = z.sigma / 2 if slack is None else slack
+    inequality by more than sigma/2.  The construction says: none, once x
+    is large."""
+    slack = z.sigma / 2
     p1, p2, p3, p4 = ford_konyagin_grid(z, x_grid)
     hit = (p2 - p3 > slack) & (p4 - p2 > slack) & (p1 - p4 > slack)
     return int(np.count_nonzero(hit))

@@ -217,7 +217,7 @@ def test_criterion_12_hypothetical_zero_ordering():
                    "profile antisymmetry exact"):
         z = waves.HypotheticalZero(0.75, 1.0)
         grid = waves.log_grid(2, 10**10, 10**4)
-        assert waves.forbidden_ordering_count(z, grid, slack=z.sigma / 2) == 0
+        assert waves.forbidden_ordering_count(z, grid) == 0
         rows = waves.ford_konyagin_grid(z, grid)
         assert np.all(rows[0] + rows[3] == 0.0)
         assert np.all(rows[1] + rows[2] == 0.0)

@@ -384,6 +384,7 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "10"],
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "0"],
     ["twins", "--limit", "10", "--gaps", "2,2"],
+    ["twins", "--limit", "1000", "--checkpoints", "1000,100"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -434,6 +435,7 @@ def test_histogram_samples_from_x_two(capsys):
     ["zeros", "--lfunction", "zeta", "--tmax", "10"],
     ["walk", "--teams", "3", "--steps", "10", "--trials", "1"],
     ["sawtooth", "--waves", "3"],
+    ["psi", "--limit", "1e3"],
 ])
 def test_allow_long_only_on_sieve_commands(argv, capsys):
     with pytest.raises(SystemExit) as exc:

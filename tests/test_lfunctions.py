@@ -59,11 +59,7 @@ def test_overcounts_match_mpmath_floors():
         li_x, li_sqrt = mp.li(x), mp.li(mp.sqrt(x))
         cases = [
             (lf.gauss_overcount(x, pi_x), li_x - pi_x),
-            (lf.gauss_overcount(x, pi_x, from_origin=False),
-             li_x - mp.li(2) - pi_x),
             (lf.riemann_overcount(x, pi_x), li_x - li_sqrt / 2 - pi_x),
-            (lf.riemann_overcount(x, pi_x, from_origin=False),
-             li_x - li_sqrt / 2 - mp.li(2) / 2 - pi_x),
         ]
         for got, want in cases:
             assert got == int(mp.floor(want)), (x, got, want)

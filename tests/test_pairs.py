@@ -40,7 +40,8 @@ def test_singular_factors():
     assert pairs.singular_factor(1) == (1, 1)
     assert pairs.singular_factor(3) == (2, 1)
     assert pairs.singular_factor(15) == (8, 3)
-    assert pairs.singular_factor_value(15) == pytest.approx(8 / 3)
+    num, den = pairs.singular_factor(15)
+    assert num / den == pytest.approx(8 / 3)
     assert pairs.singular_factor(4) == (1, 1)  # powers of two drop out
     assert pairs.singular_factor(9) == (2, 1)  # repeated primes count once
 
@@ -156,6 +157,8 @@ def test_pair_race_distinct_gaps():
         pairs.twin_table([], [10])
     with pytest.raises(DomainError, match="no checkpoints"):
         pairs.twin_table([2], [])
+    with pytest.raises(DomainError, match="ascending"):
+        pairs.twin_table([2], [1000, 100])
 
 
 def test_pair_race_scales_that_overflow_int64_are_refused(tmp_path,

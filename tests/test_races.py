@@ -91,6 +91,15 @@ def test_single_team_race_has_no_events():
     assert races.detect_lead_changes(ledger) == []
 
 
+def test_dense_race_takes_any_iterable_and_refuses_no_teams():
+    ledger = races.run_dense_race(30000, 4, iter(TEAMS4))
+    assert races.detect_lead_changes(ledger) == races.detect_lead_changes(
+        races.run_dense_race(30000, 4, TEAMS4))
+    assert ledger.labels == ["3", "1"]
+    with pytest.raises(DomainError, match="team"):
+        races.run_dense_race(30000, 4, [])
+
+
 def _count_passes(ledger):
     """Wrap the ledger's chunk source: returns [calls, blocks yielded]."""
     seen, source = [0, 0], ledger.chunks

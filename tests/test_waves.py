@@ -56,26 +56,27 @@ def test_sawtooth_error_decays_with_doubling():
 
 def test_wave_sum_empty_table_is_one():
     tab = lf.ZeroTable(lf.ZETA, np.empty(0), 1e-9)
-    assert waves.wave_sum(tab, 100.0) == 1.0
+    assert waves.wave_series(tab, [100.0]).values[0] == 1.0
 
 
 def test_wave_sum_single_zero_quarter_period():
     g = 2.0
     x = math.exp((math.pi / 2) / g)  # gamma ln x = pi/2
     tab = lf.ZeroTable(lf.ZETA, np.array([g]), 1e-9)
-    assert waves.wave_sum(tab, x) == pytest.approx(1 + 2 / g, rel=1e-12)
+    assert waves.wave_series(tab, [x]).values[0] == \
+        pytest.approx(1 + 2 / g, rel=1e-12)
 
 
 def test_wave_sum_subdivision_invariance(zeta_table):
     g = zeta_table.ordinates
-    for x in (10.0, 123.0, 10**5):
-        whole = waves.wave_sum(zeta_table, x)
-        k = len(g) // 2
-        prefix = lf.ZeroTable(lf.ZETA, g[:k], 1e-9)
-        suffix = lf.ZeroTable(lf.ZETA, g[k:], 1e-9)
-        split = (waves.wave_sum(prefix, x) - 1.0) + \
-            (waves.wave_sum(suffix, x) - 1.0) + 1.0
-        assert split == pytest.approx(whole, rel=1e-10, abs=1e-10)
+    xs = (10.0, 123.0, 10**5)
+    whole = waves.wave_series(zeta_table, xs).values
+    k = len(g) // 2
+    prefix = lf.ZeroTable(lf.ZETA, g[:k], 1e-9)
+    suffix = lf.ZeroTable(lf.ZETA, g[k:], 1e-9)
+    split = (waves.wave_series(prefix, xs).values - 1.0) + \
+        (waves.wave_series(suffix, xs).values - 1.0) + 1.0
+    assert split == pytest.approx(whole, rel=1e-10, abs=1e-10)
 
 
 def test_wave_series_matches_pointwise(zeta_table):
@@ -85,15 +86,15 @@ def test_wave_series_matches_pointwise(zeta_table):
     for x, v in zip(grid[::13], series.values[::13]):
         direct = 1.0 + 2.0 * sum(math.sin(t * math.log(x)) / t for t in g)
         assert v == pytest.approx(direct, rel=1e-12)
-        assert v == pytest.approx(waves.wave_sum(zeta_table, x, 10),
-                                  rel=1e-12)
+        assert v == pytest.approx(
+            waves.wave_series(zeta_table, [x], 10).values[0], rel=1e-12)
 
 
 def test_negative_truncation_rejected(zeta_table):
     with pytest.raises(DomainError):
         waves.wave_series(zeta_table, [100.0], -1)
-    with pytest.raises(DomainError):
-        waves.wave_sum(zeta_table, 100.0, -1)
+    with pytest.raises(DomainError):  # and x below 2
+        waves.wave_series(zeta_table, [1.5, 100.0], 10)
 
 
 def test_wave_series_tracks_truth(zeta_table, primes_1e6):
@@ -112,15 +113,6 @@ def test_lhs_pi_li():
     v = waves.lhs_pi_li(10**8, 5761455)
     assert v == pytest.approx(753.33 * math.log(10**8) / 10**4, abs=1e-3)
     assert 1.3 < v < 1.5
-    # normalization toggle: the ratio between the two variants is
-    # Li(sqrt x) ln x / (2 sqrt x); frozen from the quadrature oracle at
-    # 10^10 and shrinking toward 1 as x grows
-    def ratio(x, pi_x):
-        return waves.lhs_pi_li(x, pi_x) / \
-            waves.lhs_pi_li(x, pi_x, use_half_li_sqrt=True)
-    r10 = ratio(10**10, 455052511)
-    assert r10 == pytest.approx(1.10855, abs=1e-3)
-    assert 1.0 < r10 < ratio(10**8, 5761455) < ratio(10**6, 78498)
 
 
 def test_lhs_pi_li_exact_agreement_is_zero():
@@ -130,9 +122,10 @@ def test_lhs_pi_li_exact_agreement_is_zero():
 
 
 def test_lhs_mod4_matches_ratio():
-    assert waves.lhs_mod4(100, 13, 11) == \
+    # the mod-4 target of the explicit formula is the Shanks ratio
+    assert races.shanks_ratio(100, 13, 11) == \
         pytest.approx(0.9210340371976184, abs=1e-12)
-    assert waves.lhs_mod4(100, 7, 7) == 0.0
+    assert races.shanks_ratio(100, 7, 7) == 0.0
 
 
 def test_targets_on_arrays_match_one_point_values():
@@ -141,23 +134,17 @@ def test_targets_on_arrays_match_one_point_values():
     c3 = np.array([0, 1, 1, 13, 1472, 39322])
     c1 = np.array([0, 0, 0, 11, 1473, 39175])
     for fn, args in [(waves.lhs_pi_li, (xs, pis)),
-                     (waves.lhs_mod4, (xs, c3, c1)),
                      (races.shanks_ratio, (xs, c3, c1))]:
         whole = fn(*args)
         assert whole.shape == xs.shape
         assert np.array_equal(whole, [fn(*point) for point in zip(*args)])
-    half = waves.lhs_pi_li(xs[2:], pis[2:], use_half_li_sqrt=True)
-    assert np.array_equal(half, [
-        waves.lhs_pi_li(x, p, use_half_li_sqrt=True)
-        for x, p in zip(xs[2:], pis[2:])])
 
 
 def test_target_domains():
     assert races.shanks_ratio(2, 1, 0) == math.log(2) / math.sqrt(2)
     assert waves.lhs_pi_li(2, 1) == -math.log(2) / math.sqrt(2)
     for call in (lambda: races.shanks_ratio([5.0, 1.5], 0, 0),
-                 lambda: waves.lhs_pi_li(1.5, 0),
-                 lambda: waves.lhs_pi_li(4, 2, use_half_li_sqrt=True)):
+                 lambda: waves.lhs_pi_li(1.5, 0)):
         with pytest.raises(DomainError):
             call()
 
@@ -169,7 +156,7 @@ def test_mod4_truth_dips_visible(primes_1e6):
     c1 = np.cumsum(res == 1)
     idx = np.searchsorted(primes_1e6, 26862, side="right") - 1
     assert c3[idx] < c1[idx]
-    v = waves.lhs_mod4(26862, int(c3[idx]), int(c1[idx]))
+    v = races.shanks_ratio(26862, int(c3[idx]), int(c1[idx]))
     assert v < 0
 
 
@@ -179,7 +166,7 @@ def test_mod4_truth_dips_visible(primes_1e6):
 def test_profile_at_full_period():
     z = waves.HypotheticalZero(0.75, 1.0)
     x = math.exp(2 * math.pi)  # gamma ln x = 2 pi
-    p1, p2, p3, p4 = waves.ford_konyagin_profile(z, x)
+    p1, p2, p3, p4 = waves.ford_konyagin_grid(z, [x])[:, 0]
     assert p1 == pytest.approx(-z.sigma, abs=1e-12)
     assert p2 == pytest.approx(-z.gamma, abs=1e-12)
     assert p3 == pytest.approx(z.gamma, abs=1e-12)
@@ -191,9 +178,10 @@ def test_profile_is_one_grid_column():
     grid = waves.log_grid(2, 10**9, 101)
     rows = waves.ford_konyagin_grid(z, grid)
     for j, x in enumerate(grid):
-        assert waves.ford_konyagin_profile(z, x) == tuple(rows[:, j])
+        assert np.array_equal(waves.ford_konyagin_grid(z, [x])[:, 0],
+                              rows[:, j])
     with pytest.raises(DomainError):
-        waves.ford_konyagin_profile(z, 1.5)
+        waves.ford_konyagin_grid(z, [1.5])
 
 
 def test_profile_antisymmetry_exact():
