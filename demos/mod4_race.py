@@ -15,10 +15,11 @@ LIMIT = 13 * 10**6
 
 checkpoints = [100, 1000, 10000, 100000, 1000000, 10000000]
 print("x           4n+3     4n+1   lead   comparison curve")
-for rc in sieve.count_in_progressions(LIMIT, 4, checkpoints):
-    lead = rc.counts[3] - rc.counts[1]
+table = sieve.count_in_progressions(LIMIT, 4, checkpoints)
+for x, c3, c1 in zip(table.xs.tolist(), table.column(3).tolist(),
+                     table.column(1).tolist()):
     print("%-10d %8d %8d %6d   %8.1f"
-          % (rc.x, rc.counts[3], rc.counts[1], lead, littlewood_bound(rc.x)))
+          % (x, c3, c1, c3 - c1, littlewood_bound(x)))
 
 teams = [TeamSpec("3", {3}), TeamSpec("1", {1})]
 ledger = races.run_dense_race(LIMIT, 4, teams)

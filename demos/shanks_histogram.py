@@ -8,9 +8,9 @@ positive and of square-root size, which is the race's bias in one picture.
 from primeraces import races, sieve
 
 xs = [1000 * k for k in range(1, 1001)]
-rows = sieve.count_in_progressions(xs[-1], 4, xs)
-samples = [races.shanks_ratio(rc.x, rc.counts[3], rc.counts[1])
-           for rc in rows]
+table = sieve.count_in_progressions(xs[-1], 4, xs)
+samples = [races.shanks_ratio(x, c3, c1) for x, c3, c1 in zip(
+    xs, table.column(3).tolist(), table.column(1).tolist())]
 
 hist = races.build_histogram(samples, bins=24, lo=-1.0, hi=3.0)
 peak = max(hist.counts)

@@ -9,30 +9,37 @@ race (mod 10) and the mod-8 race show the same pattern: classes containing
 from primeraces import races, sieve
 from primeraces.races import TeamSpec
 
+
+def standings(q):
+    """(x, {class: count}) at 10^4 and 10^6."""
+    table = sieve.count_in_progressions(10**6, q, [10**4, 10**6])
+    return [(x, dict(zip(table.residues, row)))
+            for x, row in zip(table.xs.tolist(), table.counts.tolist())]
+
+
 for q in (3, 5, 7, 11):
     s, n = races.squares_mod(q)
-    rc = sieve.count_in_progressions(10**6, q, [10**6])[0]
-    cs = sum(rc.counts[a] for a in s)
-    cn = sum(rc.counts[a] for a in n)
+    table = sieve.count_in_progressions(10**6, q, [10**6])
+    cs = sum(int(table.column(a)[0]) for a in s)
+    cn = sum(int(table.column(a)[0]) for a in n)
     print("mod %2d: squares %s -> %d primes, nonsquares %s -> %d primes"
           % (q, sorted(s), cs, sorted(n), cn))
 
 print("\nmod 10 standings (last digit of the prime):")
-for rc in sieve.count_in_progressions(10**6, 10, [10**4, 10**6]):
-    print("  x=%-8d %s" % (rc.x, rc.counts))
+for x, counts in standings(10):
+    print("  x=%-8d %s" % (x, counts))
 
 print("\nmod 8 standings (squares are all 8n+1):")
-for rc in sieve.count_in_progressions(10**6, 8, [10**4, 10**6]):
-    lagging = min(rc.counts, key=rc.counts.get)
-    print("  x=%-8d %s   trailing class: %d"
-          % (rc.x, rc.counts, lagging))
+for x, counts in standings(8):
+    lagging = min(counts, key=counts.get)
+    print("  x=%-8d %s   trailing class: %d" % (x, counts, lagging))
 
 print("\nerror terms mod 8 at x = 10^6 "
       "(square class pulled down, others float):")
 pi_x = sieve.count_primes(10**6)
-rc = sieve.count_in_progressions(10**6, 8, [10**6])[0]
+table = sieve.count_in_progressions(10**6, 8, [10**6])
 for a in (1, 3, 5, 7):
-    e = races.error_term(10**6, 8, a, pi_x, rc.counts[a])
+    e = races.error_term(10**6, 8, a, pi_x, int(table.column(a)[0]))
     print("  class %d: %+.3f" % (a, e.value))
 
 print("\na dense squares-vs-nonsquares race mod 7:")

@@ -22,8 +22,9 @@ btab = lf.find_zeros(lf.BETA4, 60)
 print("first mod-4 ordinates:", np.round(btab.ordinates[:5], 4))
 
 grid = waves.log_grid(10**4, 10**6, 400)
-primes = sieve.primes_up_to(10**6)
-pi_at = np.searchsorted(primes, np.floor(grid), side="right")
+# exact counts at the integer part of every grid point
+xs, at = np.unique(np.floor(grid), return_inverse=True)
+pi_at = sieve.count_in_progressions(10**6, 1, xs).column(0)[at]
 
 li_vals = lf.li(grid)
 truth = waves.WaveSeries(0, grid,
@@ -34,9 +35,8 @@ for n in (5, 10, 25, 50):
     print("  %3d zeros: rms %.4f  correlation %.3f"
           % (n, stats.rms, stats.correlation))
 
-res = primes % 4
-c3, c1 = np.cumsum(res == 3), np.cumsum(res == 1)
-truth4 = waves.WaveSeries(0, grid, (c3[pi_at - 1] - c1[pi_at - 1])
+mod4 = sieve.count_in_progressions(10**6, 4, xs)
+truth4 = waves.WaveSeries(0, grid, (mod4.column(3)[at] - mod4.column(1)[at])
                           * np.log(grid) / np.sqrt(grid))
 cols = [("truth", truth4.values)]
 print("\nmod-4 target, fit by zero count:")
@@ -49,7 +49,8 @@ for n in (5, 15, 40):
 
 csv_path = os.path.join(HERE, "mod4_waves.csv")
 svg_path = os.path.join(HERE, "mod4_waves.svg")
-waves.write_series_csv(csv_path, grid, cols)
+with open(csv_path, "w", encoding="utf-8") as fh:
+    fh.write(waves.format_series_csv(grid, cols))
 with open(svg_path, "w", encoding="utf-8") as fh:
     fh.write(waves.render_series_svg(grid, cols, title="mod-4 wave sums"))
 print("\nwrote", csv_path)

@@ -9,8 +9,7 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          chebyshev_psi, evaluate_l, find_zeros,
                          gauss_overcount, li, li2, li_from_origin,
                          parse_zero_table, psi_rh_inequality_check,
-                         quadratic, riemann_overcount, riemann_prediction,
-                         write_zero_table)
+                         quadratic, riemann_overcount, riemann_prediction)
 from .pairs import (HLConstants, PairCounts, compute_c2, count_pairs,
                     hl_prediction, normalized_count, pair_race,
                     singular_factor, twin_table)
@@ -21,9 +20,8 @@ from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     littlewood_bound, return_fraction,
                     run_dense_race, shanks_ratio, simulate_tie_walk,
                     splitmix64, squares_mod, strictly_ahead)
-from .sieve import (ResidueCounts, checkpoint_load, checkpoint_save,
-                    count_in_progressions, count_primes, iter_prime_blocks,
-                    primes_up_to)
+from .sieve import (ResidueCounts, checkpoint_load, count_in_progressions,
+                    count_primes, iter_prime_blocks, primes_up_to)
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
                     compare_series, forbidden_ordering_count,
                     ford_konyagin_grid, lhs_pi_li, log_grid,

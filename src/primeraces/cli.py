@@ -163,18 +163,18 @@ def cmd_pi(args):
     limit = _parse_limit(args.limit)
     q = 1 if args.modulus is None else _check_count(args.modulus, "--modulus")
     cks = _parse_checkpoints(args.checkpoints, limit)
-    rows = sieve.count_in_progressions(limit, q, cks,
-                                       allow_long=args.allow_long)
-    side = ({args.checkpoint_file: sieve.format_checkpoints(rows)}
+    table = sieve.count_in_progressions(limit, q, cks,
+                                        allow_long=args.allow_long)
+    side = ({args.checkpoint_file: sieve.format_checkpoints(table)}
             if args.checkpoint_file else {})
+    xs = table.xs.tolist()
     if args.modulus is not None:
         if args.format == "json":
             return _json({"modulus": args.modulus, "rows": [
-                {"x": rc.x, "counts": {str(a): c
-                                       for a, c in sorted(rc.counts.items())}}
-                for rc in rows]}), side
-        return sieve.format_checkpoints(rows), side
-    rows = [(rc.x, rc.counts[0]) for rc in rows]
+                {"x": x, "counts": dict(zip(map(str, table.residues), c))}
+                for x, c in zip(xs, table.counts.tolist())]}), side
+        return sieve.format_checkpoints(table), side
+    rows = list(zip(xs, table.column(0).tolist()))
     if args.format == "json":
         return _json({"rows": [{"x": x, "pi": c} for x, c in rows]}), side
     return "".join("%d,%d\n" % r for r in rows), side
@@ -186,10 +186,12 @@ def cmd_race(args):
     obj = {"modulus": args.modulus, "teams": [t.label for t in teams]}
     if not (args.events or args.density):
         cks = _parse_checkpoints(args.checkpoints, limit)
-        obj["rows"] = [{"x": rc.x, "counts": {
-            t.label: sum(rc.counts[r] for r in t.residues) for t in teams}}
-            for rc in sieve.count_in_progressions(
-                limit, args.modulus, cks, allow_long=args.allow_long)]
+        table = sieve.count_in_progressions(limit, args.modulus, cks,
+                                            allow_long=args.allow_long)
+        counts = np.transpose([sum(table.column(r) for r in t.residues)
+                               for t in teams])
+        obj["rows"] = [{"x": x, "counts": dict(zip(obj["teams"], c))}
+                       for x, c in zip(table.xs.tolist(), counts.tolist())]
         if args.format == "json":
             return _json(obj)
         return "".join("%d,%s\n" % (r["x"], ",".join(
@@ -223,15 +225,16 @@ def cmd_explicit(args):
     grid = waves.log_grid(lo, hi, _check_count(args.points, "--points"))
     truncations = _parse_ints(args.truncations, "truncation list")
 
-    limit = int(hi)
-    primes = sieve.primes_up_to(limit, allow_long=args.allow_long)
-    pi_at = np.searchsorted(primes, np.floor(grid), side="right")
+    # exact counts at the integer part of every grid point, one sieve pass
+    xs, at = np.unique(np.floor(grid), return_inverse=True)
+    counts = sieve.count_in_progressions(
+        int(hi), 1 if args.target == "pi-li" else 4, xs,
+        allow_long=args.allow_long)
     if args.target == "pi-li":
-        truth = waves.lhs_pi_li(grid, pi_at)
+        truth = waves.lhs_pi_li(grid, counts.column(0)[at])
     else:
-        res = primes % 4
-        truth = races.shanks_ratio(grid, np.cumsum(res == 3)[pi_at - 1],
-                                   np.cumsum(res == 1)[pi_at - 1])
+        truth = races.shanks_ratio(grid, counts.column(3)[at],
+                                   counts.column(1)[at])
 
     truth_series = waves.WaveSeries(0, grid, truth)
     columns = [("truth", truth)]
@@ -255,9 +258,7 @@ def cmd_explicit(args):
                        for name, vals in columns},
             "stats": stats})
     else:
-        buf = io.StringIO()
-        waves.write_series_csv(buf, grid, columns)
-        text = buf.getvalue()
+        text = waves.format_series_csv(grid, columns)
     if args.stats_out:
         return text, {args.stats_out: _json(stats)}
     if args.format != "json":
@@ -294,13 +295,12 @@ def cmd_histogram(args):
     if not {a, b} <= set(sieve.coprime_residues(args.modulus)):
         raise DomainError("residues %d, %d must be classes coprime to %d"
                           % (a, b, args.modulus))
-    rows = sieve.count_in_progressions(xs[-1], args.modulus, xs,
-                                       allow_long=args.allow_long)
+    table = sieve.count_in_progressions(xs[-1], args.modulus, xs,
+                                        allow_long=args.allow_long)
     # float counts: an int64 * float64 product (numpy's buffered cast) left
     # the next sieve's peak RSS 5 MiB higher in about half the runs
-    samples = races.shanks_ratio(
-        [rc.x for rc in rows], np.array([rc.counts[a] for rc in rows], float),
-        np.array([rc.counts[b] for rc in rows], float))
+    samples = races.shanks_ratio(table.xs, table.column(a).astype(float),
+                                 table.column(b).astype(float))
     lo, hi = _parse_range(args.range)
     hist = races.build_histogram(samples, args.bins, lo, hi)
     if args.format == "json":

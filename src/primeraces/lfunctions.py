@@ -449,12 +449,6 @@ def format_zero_table(table):
         "%.9f\n" % g for g in table.ordinates)
 
 
-def write_zero_table(table, path):
-    text = format_zero_table(table)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _parse_lid(text):
     """The id named by `zeta`, `beta4` or `quadratic:<q>`; DomainError for
     any other text."""

@@ -98,10 +98,9 @@ def _count_pairs(limit, gaps, checkpoints, allow_long):
     """One PairCounts per gap, all from one sieve pass."""
     gaps = sieve._check_gaps(gaps)
     checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
-    rows = sieve.count_pairs_by_gap(limit, gaps, checkpoints, allow_long)
-    return [PairCounts(g, np.array([x for x, _ in r], dtype=np.int64),
-                       np.array([c for _, c in r], dtype=np.int64))
-            for g, r in zip(gaps, rows)]
+    counts = sieve.count_pairs_by_gap(limit, gaps, checkpoints, allow_long)
+    xs = np.array(checkpoints, dtype=np.int64)
+    return [PairCounts(g, xs, counts[:, j]) for j, g in enumerate(gaps)]
 
 
 def count_pairs(limit, gap, checkpoints=None, allow_long=False):

@@ -341,8 +341,12 @@ def leader_density(ledger, condition, X, kind):
 
 
 def strictly_ahead(team_index):
-    """Condition factory: team `team_index` strictly above every other."""
+    """Condition factory: team `team_index` strictly above every other.
+    DomainError if the counts hold no team of that index."""
     def cond(mat):
+        if not 0 <= team_index < mat.shape[0]:
+            raise DomainError("team index %d outside 0..%d"
+                              % (team_index, mat.shape[0] - 1))
         out = np.ones(mat.shape[1], dtype=bool)
         for j in range(mat.shape[0]):
             if j != team_index:

@@ -9,7 +9,7 @@ A count pi(x) at one point needs no sieve: ``_lucy`` computes it.
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +28,20 @@ SEGMENT_ENTRIES = 1 << 20
 
 @dataclass
 class ResidueCounts:
-    """Exact prime tallies pi(x; q, a) for all residues a coprime to q."""
+    """Exact prime tallies pi(x; q, a) as one table: row i holds the counts
+    at x = xs[i], column j those of the class residues[j]; ``residues`` are
+    the classes coprime to q, ascending (the one class 0 for q = 1)."""
 
     modulus: int
-    x: int
-    counts: dict = field(default_factory=dict)
+    xs: np.ndarray
+    residues: list
+    counts: np.ndarray
 
-    def total(self):
-        return sum(self.counts.values())
+    def column(self, a):
+        """The counts of class a at every x."""
+        if a not in self.residues:
+            raise DomainError("residue %d is not a class of this table" % a)
+        return self.counts[:, self.residues.index(a)]
 
 
 def check_limit(limit, allow_long=False, extra=0):
@@ -186,50 +192,41 @@ def coprime_residues(q):
 class _Tally:
     """Running counts of the marked mask entries in every residue class a
     coprime to q.  ``add`` the masks (lo, n, mask) in ascending order, then
-    ``finish`` returns [(x, {a: count})] at every checkpoint x.  ``two``
-    adds the prime 2, which the odd-only masks leave out."""
+    ``finish`` returns the int64 counts (checkpoints x residues)."""
 
-    def __init__(self, q, checkpoints, two):
-        self.q, self.checkpoints, self.two = q, checkpoints, two
+    def __init__(self, q, checkpoints):
+        self.q, self.checkpoints = q, checkpoints
         self.residues = coprime_residues(q)
-        self.running = dict.fromkeys(self.residues, 0)
-        self.out = []
-
-    def _snapshot(self, xs, lo, mask):
-        """Append the counts at the checkpoints xs, none past the mask's
-        end: the marked entries of each residue class, searched at each x."""
-        stops = (np.array(xs, dtype=np.int64) - lo) // 2 + 1
-        rows = [{} for _ in xs]
-        for a in self.residues:
-            i0, stride = _residue_offset(lo, self.q, a)
-            marked = np.flatnonzero(mask[i0::stride])
-            # mask[i0:stop:stride] holds ceil((stop - i0) / stride) entries
-            below = np.searchsorted(marked, -((i0 - stops) // stride))
-            for counts, c in zip(rows, below.tolist()):
-                counts[a] = self.running[a] + c
-        for x, counts in zip(xs, rows):
-            if self.two and x >= 2 and self.q % 2 == 1:
-                counts[2 % self.q] += 1
-            self.out.append((x, counts))
+        self.running = [0] * len(self.residues)
+        self.counts = np.zeros((len(checkpoints), len(self.residues)),
+                               dtype=np.int64)
+        self.done = 0
 
     def add(self, lo, n, mask):
-        done = len(self.out)
+        done = self.done
         end = bisect.bisect_right(self.checkpoints, lo + 2 * (n - 1), done)
-        if end > done:
-            self._snapshot(self.checkpoints[done:end], lo, mask)
-        for a in self.residues:
+        stops = (np.array(self.checkpoints[done:end], dtype=np.int64)
+                 - lo) // 2 + 1
+        for j, a in enumerate(self.residues):
             i0, stride = _residue_offset(lo, self.q, a)
-            self.running[a] += int(np.count_nonzero(mask[i0::stride]))
+            if end == done:
+                self.running[j] += int(np.count_nonzero(mask[i0::stride]))
+                continue
+            marked = np.flatnonzero(mask[i0::stride])
+            # mask[i0:stop:stride] holds ceil((stop - i0) / stride) entries
+            self.counts[done:end, j] = self.running[j] + np.searchsorted(
+                marked, -((i0 - stops) // stride))
+            self.running[j] += len(marked)
+        self.done = end
 
     def finish(self):
         # the checkpoints past the last odd number sieved
-        self._snapshot(self.checkpoints[len(self.out):], 3,
-                       np.empty(0, dtype=bool))
-        return self.out
+        self.counts[self.done:] = self.running
+        return self.counts
 
 
 def count_in_progressions(limit, q, checkpoints, allow_long=False):
-    """Exact pi(x; q, a) at every checkpoint.
+    """Exact pi(x; q, a) at every checkpoint, as one ResidueCounts table.
 
     Checkpoints must be ascending with max <= limit; counts cover every
     residue a coprime to q (for q = 1 the single class 0 holds pi(x)).
@@ -241,27 +238,32 @@ def count_in_progressions(limit, q, checkpoints, allow_long=False):
     if q < 1:
         raise DomainError("modulus must be >= 1")
     checkpoints = _check_checkpoints(checkpoints, limit)
+    xs = np.array(checkpoints, dtype=np.int64)
     if q == 1 and len(checkpoints) == 1:
-        return [ResidueCounts(1, checkpoints[0], {0: _lucy(checkpoints[0])})]
-    tally = _Tally(q, checkpoints, two=True)
+        return ResidueCounts(1, xs, [0], np.array([[_lucy(checkpoints[0])]],
+                                                  dtype=np.int64))
+    tally = _Tally(q, checkpoints)
     for lo, n, seg in _segments(limit):
         tally.add(lo, n, seg)
-    return [ResidueCounts(q, x, counts) for x, counts in tally.finish()]
+    counts = tally.finish()
+    if q % 2:  # the prime 2, which the odd-only masks leave out
+        counts[bisect.bisect_left(checkpoints, 2):,
+               tally.residues.index(2 % q)] += 1
+    return ResidueCounts(q, xs, tally.residues, counts)
 
 
 def count_pairs_by_gap(limit, gaps, checkpoints, allow_long=False):
     """pi_2k for every distinct gap in ``gaps`` at each ascending checkpoint
-    <= limit, from one sieve pass: one [(x, count)] list per gap, in the
-    order of ``gaps``."""
+    <= limit, from one sieve pass: an int64 array (checkpoints x gaps), its
+    columns in the order of ``gaps``."""
     gaps = _check_gaps(gaps)
     limit = check_limit(limit, allow_long, extra=max(gaps))
     checkpoints = _check_checkpoints(checkpoints, limit)
-    tallies = [_Tally(1, checkpoints, two=False) for _ in gaps]
+    tallies = [_Tally(1, checkpoints) for _ in gaps]
     for lo, n, masks in _pair_masks(limit, gaps):
         for tally, mask in zip(tallies, masks):
             tally.add(lo, n, mask)
-    return [[(x, counts[0]) for x, counts in tally.finish()]
-            for tally in tallies]
+    return np.hstack([tally.finish() for tally in tallies])
 
 
 def pair_starts_by_gap(limit, gaps, allow_long=False):
@@ -280,35 +282,21 @@ def pair_starts_by_gap(limit, gaps, allow_long=False):
 # ---------------------------------------------------------------------------
 # checkpoint files: `# modulus=<q>` header, rows `x,<residue>:<count>,...`
 
-def format_checkpoints(counts):
-    """Checkpoint-file text for a list of ResidueCounts of one modulus;
-    the empty list gives the empty text."""
-    counts = list(counts)
-    if not counts:
+def format_checkpoints(table):
+    """Checkpoint-file text for a ResidueCounts table; a table with no rows
+    gives the empty text."""
+    if not len(table.xs):
         return ""
-    q = counts[0].modulus
-    if any(rc.modulus != q for rc in counts):
-        raise DomainError("checkpoint file holds a single modulus")
-    if any(b.x <= a.x for a, b in zip(counts, counts[1:])):
-        raise DomainError("checkpoint x values must be strictly ascending")
-    return "# modulus=%d\n" % q + "".join(
-        "%d,%s\n" % (rc.x, ",".join("%d:%d" % (a, rc.counts[a])
-                                    for a in sorted(rc.counts)))
-        for rc in counts)
-
-
-def checkpoint_save(counts, path):
-    """Write a list of ResidueCounts (one modulus) to a checkpoint file."""
-    text = format_checkpoints(counts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    row = "%d," + ",".join("%d:%%d" % a for a in table.residues) + "\n"
+    cells = tuple(np.column_stack([table.xs, table.counts]).ravel().tolist())
+    return "# modulus=%d\n" % table.modulus + row * len(table.xs) % cells
 
 
 def checkpoint_load(path):
-    """Parse a checkpoint file back into a list of ResidueCounts."""
-    out = []
-    modulus = None
-    last_x = None
+    """Parse a checkpoint file back into a ResidueCounts table.  Every row
+    must list the residues of the first; a file with no rows gives a table
+    with no rows (and modulus None if it has no header either)."""
+    modulus, residues, xs, rows = None, [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -329,9 +317,8 @@ def checkpoint_load(path):
                 x = int(fields[0])
             except ValueError:
                 raise ParseError("bad x value %r" % fields[0], lineno)
-            if last_x is not None and x <= last_x:
+            if xs and x <= xs[-1]:
                 raise ParseError("x values not strictly ascending", lineno)
-            last_x = x
             counts = {}
             prev_res = -1
             for f in fields[1:]:
@@ -342,9 +329,16 @@ def checkpoint_load(path):
                     raise ParseError("bad residue field %r" % f, lineno)
                 if a <= prev_res:
                     raise ParseError("residues not ascending", lineno)
-                if c < 0:
-                    raise ParseError("negative count", lineno)
+                if not 0 <= c <= np.iinfo(np.int64).max:
+                    raise ParseError("count %d outside 0..2^63-1" % c, lineno)
                 prev_res = a
                 counts[a] = c
-            out.append(ResidueCounts(modulus, x, counts))
-    return out
+            if xs and list(counts) != residues:
+                raise ParseError("residues differ from the first row's",
+                                 lineno)
+            residues = list(counts)
+            xs.append(x)
+            rows.append(list(counts.values()))
+    return ResidueCounts(modulus, np.array(xs, dtype=np.int64), residues,
+                         np.array(rows, dtype=np.int64).reshape(
+                             len(xs), len(residues)))

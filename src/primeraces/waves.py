@@ -77,6 +77,8 @@ def wave_series(table, x_grid, zeros_used=None):
     if zeros_used is not None and zeros_used < 0:
         raise DomainError("zeros_used must be >= 0, got %d" % zeros_used)
     x_grid = np.asarray(x_grid, dtype=float)
+    if np.any(x_grid < 2):
+        raise DomainError("wave sums need x >= 2")
     g = table.ordinates[:zeros_used]
     vals = 1.0 + 2.0 * np.sin(np.outer(np.log(x_grid), g)) @ (1.0 / g)
     return WaveSeries(len(g), x_grid, vals)
@@ -147,31 +149,23 @@ def log_grid(lo, hi, points):
 # artifact emission: series CSV and a dependency-free SVG line chart
 
 #: rows formatted per string operation: as fast as the whole table at once,
-#: which would hold every row's text and floats in memory together
+#: which would hold every row's floats as Python objects together
 _CSV_ROWS = 1024
 
 
-def write_series_csv(path_or_file, x_grid, columns):
-    """columns: ordered (name, values) pairs aligned with x_grid.  Every
-    cell is written as "%.10g"."""
-    close = False
-    fh = path_or_file
-    if isinstance(path_or_file, (str, bytes)):
-        fh = open(path_or_file, "w", encoding="utf-8")
-        close = True
-    try:
-        names = [name for name, _ in columns]
-        fh.write("x," + ",".join(names) + "\n")
-        series = [x_grid] + [vals for _, vals in columns]
-        row = ",".join(["%.10g"] * len(series)) + "\n"
-        for lo in range(0, len(x_grid), _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, len(x_grid))
-            block = np.column_stack([np.asarray(v[lo:hi], dtype=float)
-                                     for v in series])
-            fh.write(row * (hi - lo) % tuple(block.ravel().tolist()))
-    finally:
-        if close:
-            fh.close()
+def format_series_csv(x_grid, columns):
+    """CSV text of columns, ordered (name, values) pairs aligned with
+    x_grid, under an x column.  Every cell is written as "%.10g"."""
+    names = [name for name, _ in columns]
+    parts = ["x," + ",".join(names) + "\n"]
+    series = [x_grid] + [vals for _, vals in columns]
+    row = ",".join(["%.10g"] * len(series)) + "\n"
+    for lo in range(0, len(x_grid), _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, len(x_grid))
+        block = np.column_stack([np.asarray(v[lo:hi], dtype=float)
+                                 for v in series])
+        parts.append(row * (hi - lo) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",

@@ -18,6 +18,12 @@ def trial_division_primes(limit):
     return out
 
 
+def counts_by_x(table):
+    """A ResidueCounts table as {x: {residue: count}}."""
+    return {x: dict(zip(table.residues, row))
+            for x, row in zip(table.xs.tolist(), table.counts.tolist())}
+
+
 @pytest.fixture
 def segment_entries(monkeypatch):
     """Setter for sieve.SEGMENT_ENTRIES: every sieve pass started after a

@@ -14,7 +14,7 @@ from primeraces import lfunctions as lf
 from primeraces import pairs, races, sieve, waves
 
 import published_tables as pub
-from conftest import trial_division_primes
+from conftest import counts_by_x, trial_division_primes
 
 
 @contextmanager
@@ -35,9 +35,8 @@ def criterion(number, description, budget=None):
 
 def residue_rows(limit, q, rows):
     xs = [r[0] for r in rows]
-    return {rc.x: rc.counts
-            for rc in sieve.count_in_progressions(limit, q, xs,
-                                                  allow_long=True)}
+    return counts_by_x(sieve.count_in_progressions(limit, q, xs,
+                                                   allow_long=True))
 
 
 def test_criterion_01_mod4_table_exact():
@@ -244,17 +243,17 @@ def test_criterion_14_property_suite(tmp_path):
         for q in (3, 4, 5, 7, 8, 10, 163):
             rows = sieve.count_in_progressions(10**5, q, [10**5])
             dividing = sum(1 for p in (2, 3, 5, 7, 163) if q % p == 0)
-            assert sum(rows[0].counts.values()) + dividing == pi_x, q
+            assert sum(counts_by_x(rows)[10**5].values()) + dividing \
+                == pi_x, q
 
         rows = sieve.count_in_progressions(10**4, 4, [100, 10**4])
         path = tmp_path / "c.chk"
-        sieve.checkpoint_save(rows, path)
-        assert [(r.x, r.counts) for r in sieve.checkpoint_load(path)] == \
-            [(r.x, r.counts) for r in rows]
+        path.write_text(sieve.format_checkpoints(rows))
+        assert counts_by_x(sieve.checkpoint_load(path)) == counts_by_x(rows)
 
         tab = lf.find_zeros(lf.ZETA, 31)
         zpath = tmp_path / "z.zeros"
-        lf.write_zero_table(tab, zpath)
+        zpath.write_text(lf.format_zero_table(tab))
         back = lf.parse_zero_table(zpath, lf.ZETA)
         assert np.allclose(back.ordinates, tab.ordinates, atol=1e-9)
 

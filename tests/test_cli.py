@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from primeraces import cli
 
+from conftest import counts_by_x
+
 GOLDEN = Path(__file__).with_name("golden")
 
 
@@ -65,8 +67,8 @@ def test_pi_checkpoint_file_round_trip(tmp_path, capsys):
                          "--checkpoint-file", str(path))
     assert code == 0
     from primeraces import sieve
-    rows = sieve.checkpoint_load(path)
-    assert rows[0].counts == {1: 11, 3: 13}
+    rows = counts_by_x(sieve.checkpoint_load(path))
+    assert rows[100] == {1: 11, 3: 13}
 
 
 def test_pi_checkpoint_file_without_modulus(tmp_path, capsys):
@@ -77,8 +79,8 @@ def test_pi_checkpoint_file_without_modulus(tmp_path, capsys):
     assert code == 0 and out == "100,25\n1000,168\n"
     assert path.read_text() == "# modulus=1\n100,0:25\n1000,0:168\n"
     from primeraces import sieve
-    rows = sieve.checkpoint_load(path)
-    assert [(rc.modulus, rc.x, rc.counts) for rc in rows] == \
+    table = sieve.checkpoint_load(path)
+    assert [(table.modulus, x, c) for x, c in counts_by_x(table).items()] == \
         [(1, 100, {0: 25}), (1, 1000, {0: 168})]
 
 
@@ -113,8 +115,8 @@ def test_pi_at_one_point_does_not_sieve(capsys, monkeypatch):
         raise AssertionError("a count at one point ran the sieve")
     monkeypatch.setattr(sieve, "_segments", no_sieve)
     assert sieve.count_primes(10**8) == 5761455
-    assert sieve.count_in_progressions(10**8, 1, [10**8])[0].counts == \
-        {0: 5761455}
+    assert counts_by_x(sieve.count_in_progressions(10**8, 1, [10**8])) == \
+        {10**8: {0: 5761455}}
     code, out, _ = run_cli(capsys, "pi", "--limit", "1e8")
     assert code == 0 and out == "100000000,5761455\n"
 

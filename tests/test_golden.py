@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from primeraces import cli
+from primeraces import cli, sieve
 
 GOLDEN = Path(__file__).with_name("golden")
 EXPLICIT = ("explicit --range 1e4:1e6 --points 2000 --truncations 10,100,1000 "
@@ -89,6 +89,21 @@ def test_golden_artifact(out, command, extra, tmp_path, monkeypatch):
                          ids=[c[0] for c in CASES])
 def test_golden_artifact_verbose(out, command, extra, tmp_path, monkeypatch):
     _check(out, command + " -v", extra, tmp_path, monkeypatch)
+
+
+EXPLICIT_CASES = [c for c in CASES if c[1].startswith("explicit ")]
+
+
+# explicit counts at its grid points without listing the primes
+@pytest.mark.parametrize("out,command,extra", EXPLICIT_CASES,
+                         ids=[c[0] for c in EXPLICIT_CASES])
+def test_golden_explicit_lists_no_primes(out, command, extra, tmp_path,
+                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("explicit listed the primes")
+    monkeypatch.setattr(sieve, "primes_up_to", refuse)
+    monkeypatch.setattr(sieve, "iter_prime_blocks", refuse)
+    _check(out, command, extra, tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":

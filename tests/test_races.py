@@ -12,6 +12,7 @@ from primeraces import cli, races, sieve
 from primeraces.errors import DomainError
 
 import published_tables as pub
+from conftest import counts_by_x
 
 TEAMS4 = [races.TeamSpec("3", {3}), races.TeamSpec("1", {1})]
 
@@ -73,8 +74,8 @@ def test_lead_windows_ground_truth(dense4_30k):
 
 
 def test_first_lead_margin_is_one_prime():
-    [rc] = sieve.count_in_progressions(30000, 4, [26861])
-    assert rc.counts[1] - rc.counts[3] == 1
+    rc = counts_by_x(sieve.count_in_progressions(30000, 4, [26861]))[26861]
+    assert rc[1] - rc[3] == 1
 
 
 def test_lead_change_count_consistency(dense4_30k):
@@ -168,12 +169,12 @@ def test_error_term_bias_direction_mod8():
     # nonsquare classes hover near 0; the square class 1 is pulled down
     xs = sorted({int(round(v)) for v in
                  np.exp(np.linspace(math.log(100), math.log(10**6), 60))})
-    rcs = sieve.count_in_progressions(10**6, 8, xs)
-    pis = sieve.count_in_progressions(10**6, 1, xs)
+    rcs = counts_by_x(sieve.count_in_progressions(10**6, 8, xs))
+    pis = counts_by_x(sieve.count_in_progressions(10**6, 1, xs))
     means = {}
     for a in (1, 3, 5, 7):
-        vals = [races.error_term(rc.x, 8, a, pi.counts[0], rc.counts[a]).value
-                for rc, pi in zip(rcs, pis)]
+        vals = [races.error_term(x, 8, a, pis[x][0], rcs[x][a]).value
+                for x in xs]
         means[a] = abs(np.mean(vals))
     assert all(means[a] < means[1] for a in (3, 5, 7))
 
@@ -183,9 +184,8 @@ def test_error_term_bias_direction_mod8():
 
 def test_histogram_example_mode_near_one():
     xs = [1000 * k for k in range(1, 1001)]
-    rcs = sieve.count_in_progressions(10**6, 4, xs)
-    samples = [races.shanks_ratio(rc.x, rc.counts[3], rc.counts[1])
-               for rc in rcs]
+    rcs = counts_by_x(sieve.count_in_progressions(10**6, 4, xs))
+    samples = [races.shanks_ratio(x, rcs[x][3], rcs[x][1]) for x in xs]
     h = races.build_histogram(samples, 40, -1.0, 3.0)
     assert h.total == 1000
     mode = int(np.argmax(h.counts))
@@ -277,6 +277,10 @@ def test_density_domain_errors(dense4_30k):
                              "harmonic")
     with pytest.raises(DomainError, match="one flag per sample"):
         races.leader_density(dense4_30k, lambda m: m, 100, "natural")
+    for team in (-1, 2, 5):  # -1 once compared the last team with itself
+        with pytest.raises(DomainError, match="team index"):
+            races.leader_density(dense4_30k, races.strictly_ahead(team),
+                                 30000, "natural")
     for X in (1000.5, math.nan):
         for kind in ("logarithmic", "natural"):
             with pytest.raises(DomainError, match="integer X"):

@@ -11,10 +11,17 @@ from primeraces import sieve
 from primeraces.errors import CapacityError, DomainError, ParseError
 
 import published_tables as pub
+from conftest import counts_by_x
 
 
 def counts_map(limit, q, xs):
-    return {rc.x: rc.counts for rc in sieve.count_in_progressions(limit, q, xs)}
+    return counts_by_x(sieve.count_in_progressions(limit, q, xs))
+
+
+def pair_rows(limit, gaps, xs):
+    """[(x, count)] per gap, from count_pairs_by_gap's one array."""
+    counts = sieve.count_pairs_by_gap(limit, gaps, xs)
+    return [list(zip(xs, col)) for col in counts.T.tolist()]
 
 
 def test_enumerate_smallest_prime():
@@ -106,15 +113,15 @@ def test_partition_identity(q, primes_1e6):
 
 def test_monotone_unit_increments(oracle_primes_1e5):
     xs = list(range(2, 300))
-    got = sieve.count_in_progressions(300, 4, xs)
-    totals = [rc.total() + (1 if rc.x >= 2 else 0) for rc in got]
+    got = counts_map(300, 4, xs)
+    totals = [sum(got[x].values()) + (1 if x >= 2 else 0) for x in xs]
     prime_set = set(int(p) for p in oracle_primes_1e5)
-    for prev, cur in zip(got, got[1:]):
+    for prev, cur in zip(xs, xs[1:]):
         for a in (1, 3):
-            step = cur.counts[a] - prev.counts[a]
+            step = got[cur][a] - got[prev][a]
             assert step in (0, 1)
             if step == 1:
-                assert cur.x in prime_set
+                assert cur in prime_set
     assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
@@ -127,9 +134,7 @@ def test_checkpoint_between_segments(segment_entries):
     # even checkpoints and checkpoints straddling segment boundaries
     ref = counts_map(1000, 4, [2, 33, 34, 1000])
     segment_entries(16)
-    rows = sieve.count_in_progressions(1000, 4, [2, 33, 34, 1000])
-    for rc in rows:
-        assert rc.counts == ref[rc.x]
+    assert counts_map(1000, 4, [2, 33, 34, 1000]) == ref
 
 
 def test_progressions_count_the_prime_two():
@@ -187,8 +192,8 @@ def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5,
     xs = [2, 3, 33, 34, 35, 36, 65, 66, 67, 97, 98, 999, 1000]
     ps = set(int(p) for p in oracle_primes_1e5)
     want = [(x, sum(1 for p in ps if p <= x and p + gap in ps)) for x in xs]
-    assert sieve.count_pairs_by_gap(1000, [gap], xs)[0] == want
-    assert sieve.count_pairs_by_gap(999, [gap], xs[:-1])[0] == want[:-1]
+    assert pair_rows(1000, [gap], xs)[0] == want
+    assert pair_rows(999, [gap], xs[:-1])[0] == want[:-1]
 
 
 def test_mark_segment_matches_small_primes():
@@ -238,7 +243,7 @@ def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5, segment_entries):
               for d in (-2, -1, 0, 1, 2)}
         xs |= set(rng.sample(range(1, limit + 1), min(limit, 20)))
         xs = sorted(x for x in xs if 1 <= x <= limit)
-        counts = sieve.count_pairs_by_gap(limit, gaps, xs)
+        counts = pair_rows(limit, gaps, xs)
         starts = sieve.pair_starts_by_gap(limit, gaps)
         for gap, got, st in zip(gaps, counts, starts):
             want = [p for p in ps if p <= limit and p + gap in prime]
@@ -246,7 +251,7 @@ def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5, segment_entries):
             assert got == [(x, bisect.bisect_right(want, x)) for x in xs]
             assert np.array_equal(
                 st, sieve.pair_starts_by_gap(limit, [gap])[0])
-            assert got == sieve.count_pairs_by_gap(limit, [gap], xs)[0]
+            assert got == pair_rows(limit, [gap], xs)[0]
 
 
 def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
@@ -297,13 +302,19 @@ def test_tally_matches_one_count_per_checkpoint(segment_entries):
         xs = sorted(rng.sample(range(1, limit + 1),
                                min(limit, rng.randint(0, 300))))
         segment_entries(8 * size)
-        args = (q, xs, not gap)
         segments = _masks(limit, gap)
-        tally = sieve._Tally(*args)
-        for seg in segments:
-            tally.add(*seg)
-        assert tally.finish() == _tally_one_count_per_checkpoint(
-            segments, *args), (size, q, gap, limit)
+        if gap:
+            tally = sieve._Tally(q, xs)
+            for seg in segments:
+                tally.add(*seg)
+            got = tally.finish()
+        else:  # count_in_progressions adds the prime 2 after the pass
+            got = sieve.count_in_progressions(limit, q, xs).counts
+        residues = sieve.coprime_residues(q)
+        assert [(x, dict(zip(residues, row)))
+                for x, row in zip(xs, got.tolist())] == \
+            _tally_one_count_per_checkpoint(segments, q, xs, not gap), \
+            (size, q, gap, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +323,10 @@ def test_tally_matches_one_count_per_checkpoint(segment_entries):
 def test_checkpoint_roundtrip(tmp_path):
     rows = sieve.count_in_progressions(10**4, 4, [100, 1000, 10000])
     path = tmp_path / "mod4.chk"
-    sieve.checkpoint_save(rows, path)
+    path.write_text(sieve.format_checkpoints(rows))
     back = sieve.checkpoint_load(path)
-    assert [(rc.modulus, rc.x, rc.counts) for rc in rows] == \
-        [(rc.modulus, rc.x, rc.counts) for rc in back]
+    assert (rows.modulus, counts_by_x(rows)) == \
+        (back.modulus, counts_by_x(back))
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
@@ -323,24 +334,28 @@ def test_checkpoint_roundtrip(tmp_path):
 @settings(max_examples=30, deadline=None)
 def test_checkpoint_roundtrip_random(tmp_path_factory, rows):
     xs = sorted({2 + i for i, _ in enumerate(rows)})
-    recs = [sieve.ResidueCounts(4, x, {1: a, 3: b})
-            for x, (a, b) in zip(xs, rows)]
+    recs = sieve.ResidueCounts(4, np.array(xs, dtype=np.int64), [1, 3],
+                               np.array(rows, dtype=np.int64).reshape(-1, 2))
     path = tmp_path_factory.mktemp("chk") / "r.chk"
-    sieve.checkpoint_save(recs, path)
+    path.write_text(sieve.format_checkpoints(recs))
     back = sieve.checkpoint_load(path)
-    assert [(r.x, r.counts) for r in recs] == [(r.x, r.counts) for r in back]
+    assert counts_by_x(recs) == counts_by_x(back)
 
 
 def test_checkpoint_load_empty(tmp_path):
     path = tmp_path / "empty.chk"
     path.write_text("")
-    assert sieve.checkpoint_load(path) == []
+    table = sieve.checkpoint_load(path)
+    assert table.modulus is None and table.residues == []
+    assert table.xs.shape == (0,) and table.counts.shape == (0, 0)
+    assert sieve.format_checkpoints(table) == ""
 
 
 def test_checkpoint_load_comments_only(tmp_path):
     path = tmp_path / "c.chk"
     path.write_text("# modulus=4\n# nothing else\n")
-    assert sieve.checkpoint_load(path) == []
+    table = sieve.checkpoint_load(path)
+    assert table.modulus == 4 and counts_by_x(table) == {}
 
 
 def test_checkpoint_load_non_monotone(tmp_path):
@@ -353,10 +368,12 @@ def test_checkpoint_load_non_monotone(tmp_path):
 
 def test_checkpoint_load_bad_field(tmp_path):
     path = tmp_path / "bad2.chk"
-    path.write_text("# modulus=4\n100,1:eleven\n")
-    with pytest.raises(ParseError) as err:
-        sieve.checkpoint_load(path)
-    assert err.value.line == 2
+    # a count must fit the table's int64
+    for count in ("eleven", "-1", str(2**63)):
+        path.write_text("# modulus=4\n100,1:%s\n" % count)
+        with pytest.raises(ParseError) as err:
+            sieve.checkpoint_load(path)
+        assert err.value.line == 2
 
 
 def test_checkpoint_header_required(tmp_path):
@@ -364,3 +381,19 @@ def test_checkpoint_header_required(tmp_path):
     path.write_text("100,1:11,3:13\n")
     with pytest.raises(ParseError):
         sieve.checkpoint_load(path)
+
+
+def test_checkpoint_load_residues_differ(tmp_path):
+    path = tmp_path / "bad3.chk"
+    path.write_text("# modulus=4\n100,1:11,3:13\n1000,1:80\n")
+    with pytest.raises(ParseError) as err:
+        sieve.checkpoint_load(path)
+    assert err.value.line == 3
+
+
+def test_column_of_a_class_not_in_the_table():
+    table = sieve.count_in_progressions(1000, 4, [100, 1000])
+    assert table.column(3).tolist() == [13, 87]
+    for a in (0, 2, 5, -1):
+        with pytest.raises(DomainError):
+            table.column(a)
