@@ -5,7 +5,7 @@ gap-dependent singular factor, every gap should follow the same prediction
 2 C2 Li2(x); the race is then about the small fluctuations around it.
 """
 
-from primeraces import pairs
+from primeraces import pairs, sieve
 
 constants = pairs.compute_c2(10**7)
 print("twin prime constant C2 = %.9f (+/- %.1e)"
@@ -17,12 +17,12 @@ for k in (1, 3, 5, 15):
 gaps = (2, 4, 6, 8, 10)
 print("\nraw counts (gaps %s):" % (gaps,))
 xs = [10**3, 10**4, 10**5, 10**6]
-for gap in gaps:
-    pc = pairs.count_pairs(10**6, gap, xs)
-    print("  gap %2d: %s" % (gap, list(map(int, pc.counts))))
+counts = sieve.count_pairs_by_gap(10**6, gaps, xs)
+for gap, col in zip(gaps, counts.T.tolist()):
+    print("  gap %2d: %s" % (gap, col))
 
 print("\nnormalized counts minus the prediction:")
-rows = pairs.twin_table(gaps, xs, constants=constants)
+rows = pairs.twin_table(gaps, xs)
 print("x        " + "".join("gap%-7d" % g for g in gaps)
       + "prediction")
 for x in xs:

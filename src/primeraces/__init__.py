@@ -10,9 +10,8 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          gauss_overcount, li, li2, li_from_origin,
                          parse_zero_table, psi_rh_inequality_check,
                          quadratic, riemann_overcount, riemann_prediction)
-from .pairs import (HLConstants, PairCounts, compute_c2, count_pairs,
-                    hl_prediction, normalized_count, pair_race,
-                    singular_factor, twin_table)
+from .pairs import (HLConstants, compute_c2, hl_prediction,
+                    normalized_count, pair_race, singular_factor, twin_table)
 from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     RaceLedger, TeamSpec, WalkConfig, WalkTrial,
                     build_histogram, detect_lead_changes, error_term,
@@ -21,7 +20,8 @@ from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
                     run_dense_race, shanks_ratio, simulate_tie_walk,
                     splitmix64, squares_mod, strictly_ahead)
 from .sieve import (ResidueCounts, checkpoint_load, count_in_progressions,
-                    count_primes, iter_prime_blocks, primes_up_to)
+                    count_pairs_by_gap, count_primes, iter_prime_blocks,
+                    primes_up_to)
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
                     compare_series, forbidden_ordering_count,
                     ford_konyagin_grid, lhs_pi_li, log_grid,

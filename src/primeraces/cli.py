@@ -7,9 +7,10 @@ invocations with identical seeds produce identical bytes.
 Exit codes: 0 success, 2 usage, 3 capacity, 4 I/O or parse, 5 numeric
 non-convergence; each error class in primeraces.errors carries its code.
 Point and sample counts (geometric:lo:hi:n checkpoints, histogram samples,
---points, sawtooth --waves, walk --steps and --trials), --modulus and the
-largest twins gap above 10^5 are a capacity error, raised before anything
-is allocated.
+histogram --bins, --points, sawtooth --waves, walk --steps and --trials),
+--modulus and the largest twins gap above 10^5 are a capacity error, raised
+before anything is allocated; so are more than 100 twins gaps, and a count
+table of more than 10^7 cells (checkpoints x classes coprime to the modulus).
 walk --teams is uncapped: a walk costs O(trials x steps) whatever the team
 count, and with more teams than steps no trial can return, so nothing is
 drawn.
@@ -35,7 +36,8 @@ from .errors import CapacityError, DomainError, PrimeRacesError
 # histogram took 25 ms longer when the collection landed there).
 gc.collect()
 
-#: the most grid points, samples, waves, modulus or pair gap a command takes
+#: the most grid points, samples, bins, waves, modulus or pair gap a command
+#: takes
 COUNT_CAP = 10**5
 
 
@@ -291,6 +293,7 @@ def cmd_twins(args):
 def cmd_histogram(args):
     xs = _parse_samples(args.samples)
     _check_count(args.modulus, "--modulus")
+    _check_count(args.bins, "--bins")
     a, b = args.residues
     if not {a, b} <= set(sieve.coprime_residues(args.modulus)):
         raise DomainError("residues %d, %d must be classes coprime to %d"

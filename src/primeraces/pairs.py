@@ -19,13 +19,6 @@ from .lfunctions import li2
 from .races import RaceLedger, detect_lead_changes
 
 
-@dataclass
-class PairCounts:
-    gap: int
-    xs: np.ndarray
-    counts: np.ndarray
-
-
 @dataclass(frozen=True)
 class HLConstants:
     c2: float
@@ -80,32 +73,18 @@ def singular_factor(k):
     return num // g, den // g
 
 
-def normalized_count(counts):
-    """pi'_2k series: raw counts times the reciprocal singular factor."""
-    num, den = singular_factor(counts.gap // 2)
-    return counts.counts * (den / num)
+def normalized_count(gap, counts):
+    """pi'_2k series: the raw counts of one gap times its reciprocal
+    singular factor."""
+    num, den = singular_factor(gap // 2)
+    return counts * (den / num)
 
 
-def hl_prediction(x, constants=None):
+def hl_prediction(x):
     """The common pair-count prediction 2 * C2 * Li2(x)."""
-    constants = constants or compute_c2()
     if x < 2:
         raise DomainError("prediction needs x >= 2")
-    return 2.0 * constants.c2 * li2(x)
-
-
-def _count_pairs(limit, gaps, checkpoints, allow_long):
-    """One PairCounts per gap, all from one sieve pass."""
-    gaps = sieve._check_gaps(gaps)
-    checkpoints = [int(limit)] if checkpoints is None else list(checkpoints)
-    counts = sieve.count_pairs_by_gap(limit, gaps, checkpoints, allow_long)
-    xs = np.array(checkpoints, dtype=np.int64)
-    return [PairCounts(g, xs, counts[:, j]) for j, g in enumerate(gaps)]
-
-
-def count_pairs(limit, gap, checkpoints=None, allow_long=False):
-    """pi_2k at the given checkpoints (default: just the limit)."""
-    return _count_pairs(limit, [gap], checkpoints, allow_long)[0]
+    return 2.0 * compute_c2().c2 * li2(x)
 
 
 def _scaled_teams(gaps):
@@ -158,8 +137,7 @@ def round_half_away(v):
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
-def twin_table(gaps, checkpoints, limit=None, constants=None,
-               allow_long=False):
+def twin_table(gaps, checkpoints, limit=None, allow_long=False):
     """Rows of the renormalized race table: one dict per (x, gap) with the
     raw count, normalized count, prediction, and the difference under both
     rounding conventions (exact-then-round, and subtract-the-floored-
@@ -169,18 +147,16 @@ def twin_table(gaps, checkpoints, limit=None, constants=None,
     checkpoints = [int(x) for x in checkpoints]
     if not checkpoints:
         raise DomainError("no checkpoints")
-    limit = limit or checkpoints[-1]
-    counts = _count_pairs(limit, gaps, checkpoints, allow_long)
-    constants = constants or compute_c2()
+    gaps = sieve._check_gaps(gaps)
+    counts = sieve.count_pairs_by_gap(limit or checkpoints[-1], gaps,
+                                      checkpoints, allow_long)
     rows = []
-    preds = {x: hl_prediction(x, constants) for x in checkpoints}
-    for pc in counts:
-        norm = normalized_count(pc)
-        for x, raw, nv in zip(pc.xs, pc.counts, norm):
-            x = int(x)
+    preds = {x: hl_prediction(x) for x in checkpoints}
+    for gap, col in zip(gaps, counts.T):
+        for x, raw, nv in zip(checkpoints, col, normalized_count(gap, col)):
             rows.append({
                 "x": x,
-                "gap": pc.gap,
+                "gap": gap,
                 "raw": int(raw),
                 "normalized": float(nv),
                 "hl_prediction": preds[x],

@@ -25,6 +25,12 @@ LONG_RUN_THRESHOLD = 10**9
 #: ``_segments`` reads it on each call, so tests may shrink it.
 SEGMENT_ENTRIES = 1 << 20
 
+#: the most pair gaps one pass takes: each holds a segment-sized mask at
+#: once, so 100 gaps hold at most 100 MiB of masks
+GAP_CAP = 100
+#: the most cells (checkpoints x residues) of one count table: 76 MiB int64
+TABLE_CELL_CAP = 10**7
+
 
 @dataclass
 class ResidueCounts:
@@ -65,17 +71,22 @@ def _check_gaps(gaps):
         raise DomainError("pair gap must be a positive even integer")
     if len(set(gaps)) != len(gaps):
         raise DomainError("gaps must be distinct")
+    if len(gaps) > GAP_CAP:
+        raise CapacityError("%d pair gaps above the cap %d"
+                            % (len(gaps), GAP_CAP))
     return gaps
 
 
 def _check_checkpoints(checkpoints, limit):
+    """The checkpoints as ints, and the top a table sieves to: the last
+    checkpoint (at least 2), which must not exceed limit."""
     checkpoints = [int(x) for x in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] > limit:
-        raise DomainError("checkpoint %d above limit %d"
-                          % (checkpoints[-1], limit))
-    return checkpoints
+    top = max(checkpoints[-1:] + [2])
+    if top > limit:
+        raise DomainError("checkpoint %d above limit %d" % (top, limit))
+    return checkpoints, top
 
 
 def is_prime(n):
@@ -197,6 +208,10 @@ class _Tally:
     def __init__(self, q, checkpoints):
         self.q, self.checkpoints = q, checkpoints
         self.residues = coprime_residues(q)
+        if len(checkpoints) * len(self.residues) > TABLE_CELL_CAP:
+            raise CapacityError(
+                "%d checkpoints x %d classes above the cap of %d cells"
+                % (len(checkpoints), len(self.residues), TABLE_CELL_CAP))
         self.running = [0] * len(self.residues)
         self.counts = np.zeros((len(checkpoints), len(self.residues)),
                                dtype=np.int64)
@@ -231,19 +246,19 @@ def count_in_progressions(limit, q, checkpoints, allow_long=False):
     Checkpoints must be ascending with max <= limit; counts cover every
     residue a coprime to q (for q = 1 the single class 0 holds pi(x)).
     One checkpoint with q = 1 is one Lucy count (see ``_lucy``); any other
-    input is tallied in one sieve pass up to limit.
+    input is tallied in one sieve pass up to the last checkpoint.
     """
     limit = check_limit(limit, allow_long)
     q = int(q)
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    checkpoints = _check_checkpoints(checkpoints, limit)
+    checkpoints, top = _check_checkpoints(checkpoints, limit)
     xs = np.array(checkpoints, dtype=np.int64)
     if q == 1 and len(checkpoints) == 1:
         return ResidueCounts(1, xs, [0], np.array([[_lucy(checkpoints[0])]],
                                                   dtype=np.int64))
     tally = _Tally(q, checkpoints)
-    for lo, n, seg in _segments(limit):
+    for lo, n, seg in _segments(top):
         tally.add(lo, n, seg)
     counts = tally.finish()
     if q % 2:  # the prime 2, which the odd-only masks leave out
@@ -254,29 +269,17 @@ def count_in_progressions(limit, q, checkpoints, allow_long=False):
 
 def count_pairs_by_gap(limit, gaps, checkpoints, allow_long=False):
     """pi_2k for every distinct gap in ``gaps`` at each ascending checkpoint
-    <= limit, from one sieve pass: an int64 array (checkpoints x gaps), its
-    columns in the order of ``gaps``."""
+    <= limit, from one sieve pass up to the last checkpoint (plus the
+    largest gap): an int64 array (checkpoints x gaps), its columns in the
+    order of ``gaps``."""
     gaps = _check_gaps(gaps)
     limit = check_limit(limit, allow_long, extra=max(gaps))
-    checkpoints = _check_checkpoints(checkpoints, limit)
+    checkpoints, top = _check_checkpoints(checkpoints, limit)
     tallies = [_Tally(1, checkpoints) for _ in gaps]
-    for lo, n, masks in _pair_masks(limit, gaps):
+    for lo, n, masks in _pair_masks(top, gaps):
         for tally, mask in zip(tallies, masks):
             tally.add(lo, n, mask)
     return np.hstack([tally.finish() for tally in tallies])
-
-
-def pair_starts_by_gap(limit, gaps, allow_long=False):
-    """For every distinct gap in ``gaps``, all p <= limit with p, p+gap
-    prime as one ascending array, from one sieve pass; in the order of
-    ``gaps``."""
-    gaps = _check_gaps(gaps)
-    limit = check_limit(limit, allow_long, extra=max(gaps))
-    blocks = [[np.empty(0, dtype=np.int64)] for _ in gaps]
-    for lo, n, masks in _pair_masks(limit, gaps):
-        for block, mask in zip(blocks, masks):
-            block.append(lo + 2 * np.flatnonzero(mask).astype(np.int64))
-    return [np.concatenate(block) for block in blocks]
 
 
 # ---------------------------------------------------------------------------

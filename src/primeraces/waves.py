@@ -73,14 +73,20 @@ def sawtooth_partial_sum(x, n_waves):
 def wave_series(table, x_grid, zeros_used=None):
     """The wave sum 1 + 2 * sum over ordinates of sin(gamma ln x)/gamma,
     over the lowest ``zeros_used`` ordinates (all of them for None), on a
-    whole grid of x >= 2."""
+    whole grid of x >= 2.  The grid is summed in blocks of rows of at most
+    2^22 (x, gamma) cells, so memory stays bounded."""
     if zeros_used is not None and zeros_used < 0:
         raise DomainError("zeros_used must be >= 0, got %d" % zeros_used)
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid < 2):
         raise DomainError("wave sums need x >= 2")
     g = table.ordinates[:zeros_used]
-    vals = 1.0 + 2.0 * np.sin(np.outer(np.log(x_grid), g)) @ (1.0 / g)
+    logs = np.log(x_grid)
+    vals = np.empty(len(logs))
+    chunk = max(1, (1 << 22) // max(1, len(g)))
+    for i in range(0, len(logs), chunk):
+        vals[i:i + chunk] = 1.0 + 2.0 * np.sin(
+            np.outer(logs[i:i + chunk], g)) @ (1.0 / g)
     return WaveSeries(len(g), x_grid, vals)
 
 

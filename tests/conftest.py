@@ -18,6 +18,16 @@ def trial_division_primes(limit):
     return out
 
 
+def pair_starts(limit, gaps):
+    """Oracle without the pair sieve: per gap g, every prime p <= limit with
+    p + g also prime, read off primes_up_to(limit + g)."""
+    out = []
+    for g in gaps:
+        primes = sieve.primes_up_to(limit + g)
+        out.append(primes[(primes <= limit) & np.isin(primes + g, primes)])
+    return out
+
+
 def counts_by_x(table):
     """A ResidueCounts table as {x: {residue: count}}."""
     return {x: dict(zip(table.residues, row))

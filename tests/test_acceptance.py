@@ -174,14 +174,13 @@ def test_criterion_10_pair_tables():
                    "differences within 1 per cell", budget=10.0):
         gaps = (2, 4, 6, 8, 10)
         xs = sorted(pub.HL_DIFF_ROWS)
+        counts = sieve.count_pairs_by_gap(10**6, gaps, xs)
         for gi, gap in enumerate(gaps):
-            pc = pairs.count_pairs(10**6, gap, xs)
-            for row, got in zip(pub.PAIR_ROWS, pc.counts):
+            for row, got in zip(pub.PAIR_ROWS, counts[:, gi]):
                 assert got == row[1 + gi], (gap, row[0])
-        c2 = pairs.compute_c2(10**7)
         for x, want in pub.HL_PREDICTION.items():
-            assert abs(pairs.hl_prediction(x, c2) - want) <= 1
-        rows = pairs.twin_table(gaps, xs, constants=c2)
+            assert abs(pairs.hl_prediction(x) - want) <= 1
+        rows = pairs.twin_table(gaps, xs)
         by_cell = {(r["x"], r["gap"]): r for r in rows}
         for x, diffs in pub.HL_DIFF_ROWS.items():
             for gap, want in zip(gaps, diffs):

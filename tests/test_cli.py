@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeraces import cli
+from primeraces import cli, sieve
 
 from conftest import counts_by_x
 
@@ -407,11 +407,54 @@ def test_bad_input_is_usage_error(argv, capsys):
     ["race", "--modulus", "100001", "--teams", "1:3", "--limit", "1000"],
     ["histogram", "--modulus", "100001"],
     ["twins", "--limit", "1000", "--gaps", "2,100002"],
+    ["histogram", "--bins", "100001"],
 ])
 def test_oversized_count_is_capacity_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == "" and "above the cap 100000" in err
+
+
+GAPS_101 = ",".join(str(g) for g in range(2, 204, 2))
+
+
+# a 100,000 x 99,990 count table (74.5 GiB), and 101 pair gaps: refused
+# before any table or mask is allocated
+@pytest.mark.parametrize("argv", [
+    ["histogram", "--samples", "arith:2:1:100000", "--modulus", "99991",
+     "--residues", "1", "2"],
+    ["twins", "--limit", "1e6", "--gaps", GAPS_101, "--checkpoints", "1000"],
+    ["twins", "--limit", "1e6", "--gaps", GAPS_101, "--race"],
+])
+def test_oversized_table_or_gap_set_is_capacity_error(argv, tmp_path,
+                                                      capsys):
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and "above the cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tables_sieve_only_to_their_last_checkpoint(monkeypatch, capsys):
+    asked = []
+    segments = sieve._segments
+
+    def recording(limit, extra=0):
+        asked.append(limit + extra)
+        return segments(limit, extra)
+
+    monkeypatch.setattr(sieve, "_segments", recording)
+    # the default gaps reach 10 past the last checkpoint
+    code, out, _ = run_cli(capsys, "twins", "--limit", "1e6",
+                           "--checkpoints", "1000")
+    assert code == 0 and out.splitlines()[1].startswith("1000,2,35,")
+    assert asked and max(asked) <= 1010
+    asked.clear()
+    code, out, _ = run_cli(capsys, "pi", "--limit", "1e6", "--modulus", "4",
+                           "--checkpoints", "1000")
+    assert code == 0 and out.endswith("1000,1:80,3:87\n")
+    assert asked and max(asked) <= 1000
 
 
 def test_count_at_the_cap_is_accepted(capsys):

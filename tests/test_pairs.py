@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from primeraces import cli, pairs, sieve
+from primeraces import cli, lfunctions, pairs, sieve
 from primeraces.errors import CapacityError, DomainError
 
 import published_tables as pub
+from conftest import pair_starts
 
 
 @pytest.fixture(scope="module")
@@ -47,49 +48,46 @@ def test_singular_factors():
 
 
 def test_normalized_counts():
-    pc = pairs.count_pairs(10**3, 2)
-    assert np.array_equal(pairs.normalized_count(pc), pc.counts)
-    pc6 = pairs.count_pairs(10**3, 6)
-    assert pairs.normalized_count(pc6)[0] == pytest.approx(37.0)
+    counts = sieve.count_pairs_by_gap(10**3, [2, 6], [10**3])
+    assert np.array_equal(pairs.normalized_count(2, counts[:, 0]),
+                          counts[:, 0])
+    assert pairs.normalized_count(6, counts[:, 1])[0] == pytest.approx(37.0)
 
 
 def test_normalization_linearity():
-    pc = pairs.PairCounts(30, np.array([10, 100]), np.array([8, 80]))
-    norm = pairs.normalized_count(pc)
+    norm = pairs.normalized_count(30, np.array([8, 80]))
     assert norm[1] == pytest.approx(10 * norm[0])
 
 
-def test_hl_prediction_rows(c2):
+def test_hl_prediction_rows():
     for x, want in pub.HL_PREDICTION.items():
-        assert abs(pairs.hl_prediction(x, c2) - want) <= 1
+        assert abs(pairs.hl_prediction(x) - want) <= 1
 
 
-def test_hl_prediction_at_two(c2):
-    assert pairs.hl_prediction(2, c2) == 0.0
+def test_hl_prediction_at_two():
+    assert pairs.hl_prediction(2) == 0.0
 
 
 def test_pair_table_pow2_rows():
     gaps = (2, 4, 8, 16)
-    for gi, gap in enumerate(gaps):
-        pc = pairs.count_pairs(10**6, gap,
-                               [r[0] for r in pub.PAIR_POW2_ROWS])
-        for (x, *cols), got in zip(pub.PAIR_POW2_ROWS, pc.counts):
-            assert got == cols[gi], (gap, x)
+    counts = sieve.count_pairs_by_gap(
+        10**6, gaps, [r[0] for r in pub.PAIR_POW2_ROWS])
+    for (x, *cols), got in zip(pub.PAIR_POW2_ROWS, counts.tolist()):
+        assert got == cols, x
 
 
 def test_pair_table_rows_to_1e7():
     gaps = (2, 4, 6, 8, 10)
     xs = [r[0] for r in pub.PAIR_ROWS]
-    for gi, gap in enumerate(gaps):
-        pc = pairs.count_pairs(10**7, gap, xs)
-        for (x, *cols), got in zip(pub.PAIR_ROWS, pc.counts):
-            assert got == cols[gi], (gap, x)
+    counts = sieve.count_pairs_by_gap(10**7, gaps, xs)
+    for (x, *cols), got in zip(pub.PAIR_ROWS, counts.tolist()):
+        assert got == cols, x
 
 
-def test_twin_table_differences(c2):
+def test_twin_table_differences():
     gaps = (2, 4, 6, 8, 10)
     xs = sorted(pub.HL_DIFF_ROWS)
-    rows = pairs.twin_table(gaps, xs, constants=c2)
+    rows = pairs.twin_table(gaps, xs)
     by_cell = {(r["x"], r["gap"]): r for r in rows}
     for x, diffs in pub.HL_DIFF_ROWS.items():
         for gap, want in zip(gaps, diffs):
@@ -99,11 +97,10 @@ def test_twin_table_differences(c2):
             assert close <= 1, (x, gap, r)
 
 
-def test_prediction_tracks_counts_within_two_sqrt_x(c2):
+def test_prediction_tracks_counts_within_two_sqrt_x():
     worst = 0.0
     for gap in range(2, 101, 2):
-        rows = pairs.twin_table([gap], [10**3, 10**4, 10**5, 10**6],
-                                constants=c2)
+        rows = pairs.twin_table([gap], [10**3, 10**4, 10**5, 10**6])
         for r in rows:
             ratio = abs(r["difference"]) / math.sqrt(r["x"])
             worst = max(worst, ratio)
@@ -112,8 +109,7 @@ def test_prediction_tracks_counts_within_two_sqrt_x(c2):
 
 
 def test_gap6_to_gap2_ratio_at_1e7():
-    p2 = len(sieve.pair_starts_by_gap(10**7, [2])[0])
-    p6 = len(sieve.pair_starts_by_gap(10**7, [6])[0])
+    p2, p6 = sieve.count_pairs_by_gap(10**7, [2, 6], [10**7])[0]
     assert 1.9 < p6 / p2 < 2.1
 
 
@@ -138,7 +134,7 @@ def test_dense_pair_race_samples_the_union_of_starts(segment_entries):
         gaps = rng.sample([2, 4, 6, 8, 10, 30, 64], rng.randint(1, 5))
         limit = rng.randint(2, 20000)
         ledger, _ = pairs.pair_race(gaps, limit)
-        starts = sieve.pair_starts_by_gap(limit, gaps)
+        starts = pair_starts(limit, gaps)
         assert np.array_equal(ledger.xs, np.unique(np.concatenate(starts)))
         assert ledger.xs.dtype == np.int64
 
@@ -182,13 +178,12 @@ def test_pair_race_scales_that_overflow_int64_are_refused(tmp_path,
 
 def test_c2_cached(c2):
     assert pairs.compute_c2() is c2
-    assert pairs.hl_prediction(10**6) == pairs.hl_prediction(
-        10**6, pairs.compute_c2())
+    assert pairs.hl_prediction(10**6) == 2.0 * c2.c2 * lfunctions.li2(10**6)
 
 
 def test_gap_validation():
     for bad in (0, -2, 3):
-        for call in (lambda: pairs.count_pairs(1000, bad),
+        for call in (lambda: sieve.count_pairs_by_gap(1000, [bad], [1000]),
                      lambda: pairs.pair_race([2, bad], 1000),
                      lambda: pairs.twin_table([2, bad], [1000])):
             with pytest.raises(DomainError, match="gap"):

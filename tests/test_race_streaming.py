@@ -20,6 +20,8 @@ from scipy.special import digamma
 from primeraces import pairs, races, sieve
 from primeraces.errors import DomainError
 
+from conftest import pair_starts
+
 TEAMS4 = [races.TeamSpec("3", {3}), races.TeamSpec("1", {1})]
 
 
@@ -36,7 +38,7 @@ def old_dense_race(limit, q, teams):
 
 
 def old_pair_race(gaps, limit):
-    starts = sieve.pair_starts_by_gap(limit, gaps)
+    starts = pair_starts(limit, gaps)
     recs = [pairs.singular_factor(g // 2) for g in gaps]
     lcm = 1
     for num, _ in recs:

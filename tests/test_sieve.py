@@ -144,32 +144,44 @@ def test_progressions_count_the_prime_two():
 
 
 def test_pair_counts_small():
-    assert len(sieve.pair_starts_by_gap(10, [2])[0]) == 2  # (3,5), (5,7)
-    assert len(sieve.pair_starts_by_gap(1000, [2])[0]) == 35
-    assert len(sieve.pair_starts_by_gap(1000, [6])[0]) == 74
-    with pytest.raises(DomainError):
-        sieve.pair_starts_by_gap(1000, [3])
-    for gaps in ([2, 2], [], [2, 3]):
+    assert pair_rows(10, [2], [10]) == [[(10, 2)]]  # (3,5), (5,7)
+    assert pair_rows(1000, [2, 6], [1000]) == [[(1000, 35)], [(1000, 74)]]
+    for gaps in ([2, 2], [], [2, 3], [3]):
         with pytest.raises(DomainError):
             sieve.count_pairs_by_gap(100, gaps, [100])
-        with pytest.raises(DomainError):
-            sieve.pair_starts_by_gap(100, gaps)
+
+
+def test_gap_and_table_caps(monkeypatch):
+    gaps = list(range(2, 2 * sieve.GAP_CAP + 1, 2))
+    assert sieve.count_pairs_by_gap(300, gaps, [100]).shape == (1, 100)
+    with pytest.raises(CapacityError, match="gaps above the cap 100"):
+        sieve.count_pairs_by_gap(300, gaps + [2 * sieve.GAP_CAP + 2], [100])
+    # 4 classes mod 5: a table of 5 checkpoints fits a cap of 20 cells, one
+    # of 6 is refused before anything is sieved
+    monkeypatch.setattr(sieve, "TABLE_CELL_CAP", 20)
+    assert counts_map(100, 5, range(96, 101))[100] == {1: 5, 2: 7, 3: 7, 4: 5}
+    monkeypatch.setattr(sieve, "_segments", None)
+    with pytest.raises(CapacityError, match="above the cap of 20 cells"):
+        sieve.count_in_progressions(100, 5, range(95, 101))
 
 
 def test_pair_visitor_values(oracle_primes_1e5):
+    # the pair starts are the x at which the count at every x steps up
     ps = set(int(p) for p in oracle_primes_1e5)
-    seen = sieve.pair_starts_by_gap(500, [4])[0].tolist()
+    xs = list(range(1, 501))
+    steps = np.diff(sieve.count_pairs_by_gap(500, [4], xs)[:, 0], prepend=0)
     expected = [p for p in sorted(ps) if p <= 500 and p + 4 in ps]
-    assert seen == expected
+    assert [x for x, d in zip(xs, steps) if d] == expected
+    assert set(steps.tolist()) == {0, 1}
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 2**16, 2**20])
 def test_pair_counts_segment_invariance(segment_size, segment_entries):
     gaps = (2, 6, 30)
-    default = [len(sieve.pair_starts_by_gap(10**5, [gap])[0]) for gap in gaps]
+    xs = range(1, 10**5 + 1)
+    default = sieve.count_pairs_by_gap(10**5, gaps, xs)
     segment_entries(8 * segment_size)
-    for gap, want in zip(gaps, default):
-        assert len(sieve.pair_starts_by_gap(10**5, [gap])[0]) == want
+    assert np.array_equal(sieve.count_pairs_by_gap(10**5, gaps, xs), default)
 
 
 def test_count_invariance_under_segment_size(segment_entries):
@@ -244,13 +256,14 @@ def test_pairs_by_gap_match_one_gap_calls(oracle_primes_1e5, segment_entries):
         xs |= set(rng.sample(range(1, limit + 1), min(limit, 20)))
         xs = sorted(x for x in xs if 1 <= x <= limit)
         counts = pair_rows(limit, gaps, xs)
-        starts = sieve.pair_starts_by_gap(limit, gaps)
-        for gap, got, st in zip(gaps, counts, starts):
+        every = sieve.count_pairs_by_gap(limit, gaps, range(1, limit + 1))
+        for gap, got, col in zip(gaps, counts, every.T):
             want = [p for p in ps if p <= limit and p + gap in prime]
-            assert st.tolist() == want, (gap, limit)
+            assert np.array_equal(col, np.searchsorted(
+                want, np.arange(1, limit + 1), side="right")), (gap, limit)
             assert got == [(x, bisect.bisect_right(want, x)) for x in xs]
-            assert np.array_equal(
-                st, sieve.pair_starts_by_gap(limit, [gap])[0])
+            assert np.array_equal(col, sieve.count_pairs_by_gap(
+                limit, [gap], range(1, limit + 1))[:, 0])
             assert got == pair_rows(limit, [gap], xs)[0]
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,25 @@ def test_negative_truncation_rejected(zeta_table):
         for grid in ([1.5, 100.0], [0.0], [-1.0, 100.0]):
             with pytest.raises(DomainError):
                 waves.wave_series(zeta_table, grid, 10)
+
+
+def test_wave_series_memory_is_bounded():
+    # 10^4 points x 2,000 zeros: one matrix of the whole grid takes 160 MB
+    tab = lf.ZeroTable(lf.ZETA, 14.0 + np.arange(2000.0), 1e-9)
+    grid = waves.log_grid(10, 10**5, 10**4)
+    tracemalloc.start()
+    try:
+        series = waves.wave_series(tab, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 10**6
+    # blocks hold 2,097 rows here: rows on both sides of a block boundary
+    # match the sum over the whole matrix
+    rows = [0, 2096, 2097, 9999]
+    g = tab.ordinates
+    direct = 1.0 + 2.0 * np.sin(np.outer(np.log(grid[rows]), g)) @ (1.0 / g)
+    assert np.allclose(series.values[rows], direct, rtol=1e-12, atol=1e-12)
 
 
 def test_wave_series_tracks_truth(zeta_table, primes_1e6):
