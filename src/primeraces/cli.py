@@ -9,8 +9,9 @@ non-convergence; each error class in primeraces.errors carries its code.
 Point and sample counts (geometric:lo:hi:n checkpoints, histogram samples,
 histogram --bins, --points, sawtooth --waves, walk --steps and --trials),
 --modulus and the largest twins gap above 10^5 are a capacity error, raised
-before anything is allocated; so are more than 100 twins gaps, and a count
-table of more than 10^7 cells (checkpoints x classes coprime to the modulus).
+before anything is allocated; so are a --limit (plus the largest twins gap)
+above 10^10, more than 100 twins gaps, and a count table of more than 10^7
+cells (checkpoints x classes coprime to the modulus).
 walk --teams is uncapped: a walk costs O(trials x steps) whatever the team
 count, and with more teams than steps no trial can return, so nothing is
 drawn.
@@ -165,8 +166,7 @@ def cmd_pi(args):
     limit = _parse_limit(args.limit)
     q = 1 if args.modulus is None else _check_count(args.modulus, "--modulus")
     cks = _parse_checkpoints(args.checkpoints, limit)
-    table = sieve.count_in_progressions(limit, q, cks,
-                                        allow_long=args.allow_long)
+    table = sieve.count_in_progressions(limit, q, cks)
     side = ({args.checkpoint_file: sieve.format_checkpoints(table)}
             if args.checkpoint_file else {})
     xs = table.xs.tolist()
@@ -188,8 +188,7 @@ def cmd_race(args):
     obj = {"modulus": args.modulus, "teams": [t.label for t in teams]}
     if not (args.events or args.density):
         cks = _parse_checkpoints(args.checkpoints, limit)
-        table = sieve.count_in_progressions(limit, args.modulus, cks,
-                                            allow_long=args.allow_long)
+        table = sieve.count_in_progressions(limit, args.modulus, cks)
         counts = np.transpose([sum(table.column(r) for r in t.residues)
                                for t in teams])
         obj["rows"] = [{"x": x, "counts": dict(zip(obj["teams"], c))}
@@ -198,8 +197,7 @@ def cmd_race(args):
             return _json(obj)
         return "".join("%d,%s\n" % (r["x"], ",".join(
             "%s:%d" % c for c in r["counts"].items())) for r in obj["rows"])
-    ledger = races.run_dense_race(limit, args.modulus, teams,
-                                  allow_long=args.allow_long)
+    ledger = races.run_dense_race(limit, args.modulus, teams)
     events = races.detect_lead_changes(ledger) if args.events else None
     # CSV events carry no density, so it is computed only when emitted
     if args.density and (args.format == "json" or events is None):
@@ -230,8 +228,7 @@ def cmd_explicit(args):
     # exact counts at the integer part of every grid point, one sieve pass
     xs, at = np.unique(np.floor(grid), return_inverse=True)
     counts = sieve.count_in_progressions(
-        int(hi), 1 if args.target == "pi-li" else 4, xs,
-        allow_long=args.allow_long)
+        int(hi), 1 if args.target == "pi-li" else 4, xs)
     if args.target == "pi-li":
         truth = waves.lhs_pi_li(grid, counts.column(0)[at])
     else:
@@ -273,12 +270,10 @@ def cmd_twins(args):
     gaps = _parse_ints(args.gaps, "gap list")
     _check_count(max(gaps), "largest gap")
     if args.race:
-        ledger, events = pairs.pair_race(gaps, limit,
-                                         allow_long=args.allow_long,
-                                         place=args.place)
+        ledger, events = pairs.pair_race(gaps, limit, place=args.place)
         return _events(events, args.format, {"gaps": gaps})
     cks = _parse_checkpoints(args.checkpoints, limit)
-    rows = pairs.twin_table(gaps, cks, limit, allow_long=args.allow_long)
+    rows = pairs.twin_table(gaps, cks, limit)
     if args.format == "json":
         return _json({"rows": rows})
     buf = io.StringIO()
@@ -298,8 +293,7 @@ def cmd_histogram(args):
     if not {a, b} <= set(sieve.coprime_residues(args.modulus)):
         raise DomainError("residues %d, %d must be classes coprime to %d"
                           % (a, b, args.modulus))
-    table = sieve.count_in_progressions(xs[-1], args.modulus, xs,
-                                        allow_long=args.allow_long)
+    table = sieve.count_in_progressions(xs[-1], args.modulus, xs)
     # float counts: an int64 * float64 product (numpy's buffered cast) left
     # the next sieve's peak RSS 5 MiB higher in about half the runs
     samples = races.shanks_ratio(table.xs, table.column(a).astype(float),
@@ -381,14 +375,11 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, func, fmt=("csv", "json"), allow_long=True):
+    def common(sp, func, fmt=("csv", "json")):
         sp.set_defaults(func=func)
         sp.add_argument("--format", choices=fmt, default="csv")
         sp.add_argument("--out", help="output path (default stdout); "
                         "relative paths resolve under $PRIME_RACES_CACHE")
-        if allow_long:
-            sp.add_argument("--allow-long", action="store_true",
-                            help="opt in to sieve limits above 10^9")
         sp.add_argument("-v", "--verbose", action="store_true")
 
     sp = sub.add_parser("pi", help="prime counts, optionally per residue")
@@ -413,7 +404,7 @@ def build_parser():
     sp = sub.add_parser("zeros", help="critical-line zero ordinates")
     sp.add_argument("--lfunction", required=True)
     sp.add_argument("--tmax", type=float, required=True)
-    common(sp, cmd_zeros, allow_long=False)
+    common(sp, cmd_zeros)
 
     sp = sub.add_parser("explicit", help="wave-sum approximations vs truth")
     sp.add_argument("--zeros", required=True, help="zero-table file")
@@ -446,16 +437,16 @@ def build_parser():
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, cmd_walk, fmt=("json",), allow_long=False)
+    common(sp, cmd_walk, fmt=("json",))
 
     sp = sub.add_parser("psi", help="prime-power log sums vs x")
     sp.add_argument("--limit", required=True)
-    common(sp, cmd_psi, allow_long=False)
+    common(sp, cmd_psi)
 
     sp = sub.add_parser("sawtooth", help="Fourier wave demo for x - 1/2")
     sp.add_argument("--waves", type=int, required=True)
     sp.add_argument("--points", type=int, default=200)
-    common(sp, cmd_sawtooth, fmt=("csv", "json", "svg"), allow_long=False)
+    common(sp, cmd_sawtooth, fmt=("csv", "json", "svg"))
     return p
 
 

@@ -43,7 +43,7 @@ def compute_c2(prime_limit=10**7):
 def _c2_product(prime_limit):
     if prime_limit < 3:
         raise DomainError("need at least one odd prime")
-    primes = sieve.primes_up_to(prime_limit, allow_long=True)[1:]
+    primes = sieve.primes_up_to(prime_limit)[1:]
     p = primes.astype(float)
     c2 = float(np.exp(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2)))))
     return HLConstants(c2, c2 / (prime_limit - 1))
@@ -111,7 +111,7 @@ def _pair_chunks(limit, gaps, scales):
             yield lo + 2 * idx.astype(np.int64), counts * scales
 
 
-def pair_race(gaps, limit, allow_long=False, place="first"):
+def pair_race(gaps, limit, place="first"):
     """Race the renormalized pair counts across gaps.
 
     Returns (ledger, events).  The dense ledger samples at every x where
@@ -119,15 +119,17 @@ def pair_race(gaps, limit, allow_long=False, place="first"):
     same strict-leader/tie convention as the progression races, tracking
     first place by default (pass place="last", or run detect_lead_changes
     on the returned ledger, for the trailing position).  A scaled count is
-    at most max(scales) * (limit // 2 + 1); gap sets whose bound exceeds
-    int64 are a CapacityError.
+    at most max(scales) * pi(limit); gap sets whose bound exceeds int64 are
+    a CapacityError.
     """
     gaps = sieve._check_gaps(gaps)
-    limit = sieve.check_limit(limit, allow_long, extra=max(gaps))
+    limit = sieve.check_limit(limit, extra=max(gaps))
     scales = _scaled_teams(gaps)
-    if max(scales) * (limit // 2 + 1) > np.iinfo(np.int64).max:
-        raise CapacityError("pair-count scale %d times up to %d pairs "
-                            "exceeds int64" % (max(scales), limit // 2 + 1))
+    # pi_2k(x) <= pi(x) <= x // 2 + 1: count pi(x) only past the cheap bound
+    big = max(scales)
+    if big * (limit // 2 + 1) >= 2**63 and big * sieve._lucy(limit) >= 2**63:
+        raise CapacityError("pair-count scale %d times up to pi(%d) pairs "
+                            "exceeds int64" % (big, limit))
     chunks = functools.partial(_pair_chunks, limit, gaps, scales)
     ledger = RaceLedger(map(str, gaps), limit, chunks)
     return ledger, detect_lead_changes(ledger, place)
@@ -137,7 +139,7 @@ def round_half_away(v):
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
-def twin_table(gaps, checkpoints, limit=None, allow_long=False):
+def twin_table(gaps, checkpoints, limit=None):
     """Rows of the renormalized race table: one dict per (x, gap) with the
     raw count, normalized count, prediction, and the difference under both
     rounding conventions (exact-then-round, and subtract-the-floored-
@@ -148,8 +150,8 @@ def twin_table(gaps, checkpoints, limit=None, allow_long=False):
     if not checkpoints:
         raise DomainError("no checkpoints")
     gaps = sieve._check_gaps(gaps)
-    counts = sieve.count_pairs_by_gap(limit or checkpoints[-1], gaps,
-                                      checkpoints, allow_long)
+    counts = sieve.count_pairs_by_gap(
+        checkpoints[-1] if limit is None else limit, gaps, checkpoints)
     rows = []
     preds = {x: hl_prediction(x) for x in checkpoints}
     for gap, col in zip(gaps, counts.T):

@@ -91,7 +91,7 @@ class RaceLedger:
     (len(labels), len(xs)).  The ledger keeps only that source and sieves
     afresh on each call, so it holds one segment at a time; its ``xs`` and
     ``counts`` are both concatenated from one pass over the blocks on first
-    use of either.
+    use of either, which holds every sample: limit <= sieve.HELD_CAP.
     """
 
     def __init__(self, labels, limit, chunks):
@@ -106,6 +106,7 @@ class RaceLedger:
         return self._join()[1]
 
     def _join(self):
+        sieve.check_held(self.limit)
         empty = (np.empty(0, np.int64),
                  np.empty((len(self.labels), 0), np.int64))
         self.xs, self.counts = (np.concatenate(b, axis=-1)
@@ -126,7 +127,7 @@ def _validate_teams(q, teams):
             seen.add(r)
 
 
-def _race_chunks(limit, q, teams, allow_long):
+def _race_chunks(limit, q, teams):
     """Yield (primes, counts) per sieve segment: each team's running count
     at each prime, carried across segments."""
     team_of = np.full(q, len(teams), dtype=np.intp)  # len(teams) = no team
@@ -134,7 +135,7 @@ def _race_chunks(limit, q, teams, allow_long):
         team_of[list(t.residues)] = i
     rows = np.arange(len(teams))[:, None]
     carry = np.zeros((len(teams), 1), dtype=np.int64)
-    for primes in sieve.iter_prime_blocks(limit, allow_long):
+    for primes in sieve.iter_prime_blocks(limit):
         if len(primes):
             owner = team_of[primes % q]
             counts = np.cumsum(owner == rows, axis=1, dtype=np.int64) + carry
@@ -142,14 +143,14 @@ def _race_chunks(limit, q, teams, allow_long):
             yield primes, counts
 
 
-def run_dense_race(limit, q, teams, allow_long=False):
+def run_dense_race(limit, q, teams):
     """Ledger sampled at every prime <= limit."""
     teams = list(teams)
     if not teams:
         raise DomainError("a race needs at least one team")
     _validate_teams(q, teams)
-    limit = sieve.check_limit(limit, allow_long)
-    chunks = functools.partial(_race_chunks, limit, q, teams, allow_long)
+    limit = sieve.check_limit(limit)
+    chunks = functools.partial(_race_chunks, limit, q, teams)
     return RaceLedger([t.label for t in teams], limit, chunks)
 
 

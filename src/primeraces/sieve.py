@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, ParseError
 
 HARD_CAP = 10**10
-LONG_RUN_THRESHOLD = 10**9
+HELD_CAP = 10**9
 
 #: sieve entries per segment, i.e. a span of 2 * SEGMENT_ENTRIES integers.
 #: The mask is a numpy bool array, one byte per entry, so a segment takes
@@ -50,16 +50,21 @@ class ResidueCounts:
         return self.counts[:, self.residues.index(a)]
 
 
-def check_limit(limit, allow_long=False, extra=0):
-    """Validate a sieve limit against the desk-scale policy."""
+def check_limit(limit, extra=0):
+    """Validate a sieve limit: 2 <= limit and limit + extra <= HARD_CAP."""
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be >= 2, got %d" % limit)
     if limit + extra > HARD_CAP:
-        raise CapacityError("limit %d exceeds hard cap %d" % (limit, HARD_CAP))
-    if limit > LONG_RUN_THRESHOLD and not allow_long:
-        raise CapacityError(
-            "limit %d is a long-running request; pass allow_long=True" % limit)
+        raise CapacityError("limit %d%s exceeds hard cap %d" % (
+            limit, " + largest gap %d" % extra if extra else "", HARD_CAP))
+    return limit
+
+
+def check_held(limit):
+    """Refuse to hold every prime <= limit past HELD_CAP: 407 MB at 10**9."""
+    if limit > HELD_CAP:
+        raise CapacityError("limit %d above HELD_CAP %d" % (limit, HELD_CAP))
     return limit
 
 
@@ -141,17 +146,17 @@ def _pair_masks(limit, gaps):
         yield lo, n, [seg[:n] & seg[g // 2:g // 2 + n] for g in gaps]
 
 
-def iter_prime_blocks(limit, allow_long=False):
+def iter_prime_blocks(limit):
     """Yield ascending numpy arrays of primes covering 2..limit."""
-    limit = check_limit(limit, allow_long)
+    limit = check_limit(limit)
     yield np.array([2], dtype=np.int64)
     for lo, _, seg in _segments(limit):
         yield lo + 2 * np.flatnonzero(seg).astype(np.int64)
 
 
-def primes_up_to(limit, allow_long=False):
-    """All primes <= limit as one array (materialized; desk scale only)."""
-    return np.concatenate(list(iter_prime_blocks(limit, allow_long)))
+def primes_up_to(limit):
+    """All primes <= limit as one array, held in memory: limit <= HELD_CAP."""
+    return np.concatenate(list(iter_prime_blocks(check_held(limit))))
 
 
 def _lucy(x):
@@ -180,9 +185,9 @@ def _lucy(x):
     return int(big[0])
 
 
-def count_primes(limit, allow_long=False):
+def count_primes(limit):
     """pi(limit) by Lucy's recursion: no sieve, the same limit policy."""
-    return _lucy(check_limit(limit, allow_long))
+    return _lucy(check_limit(limit))
 
 
 def _residue_offset(lo, q, a):
@@ -240,7 +245,7 @@ class _Tally:
         return self.counts
 
 
-def count_in_progressions(limit, q, checkpoints, allow_long=False):
+def count_in_progressions(limit, q, checkpoints):
     """Exact pi(x; q, a) at every checkpoint, as one ResidueCounts table.
 
     Checkpoints must be ascending with max <= limit; counts cover every
@@ -248,7 +253,7 @@ def count_in_progressions(limit, q, checkpoints, allow_long=False):
     One checkpoint with q = 1 is one Lucy count (see ``_lucy``); any other
     input is tallied in one sieve pass up to the last checkpoint.
     """
-    limit = check_limit(limit, allow_long)
+    limit = check_limit(limit)
     q = int(q)
     if q < 1:
         raise DomainError("modulus must be >= 1")
@@ -267,13 +272,13 @@ def count_in_progressions(limit, q, checkpoints, allow_long=False):
     return ResidueCounts(q, xs, tally.residues, counts)
 
 
-def count_pairs_by_gap(limit, gaps, checkpoints, allow_long=False):
+def count_pairs_by_gap(limit, gaps, checkpoints):
     """pi_2k for every distinct gap in ``gaps`` at each ascending checkpoint
     <= limit, from one sieve pass up to the last checkpoint (plus the
     largest gap): an int64 array (checkpoints x gaps), its columns in the
     order of ``gaps``."""
     gaps = _check_gaps(gaps)
-    limit = check_limit(limit, allow_long, extra=max(gaps))
+    limit = check_limit(limit, extra=max(gaps))
     checkpoints, top = _check_checkpoints(checkpoints, limit)
     tallies = [_Tally(1, checkpoints) for _ in gaps]
     for lo, n, masks in _pair_masks(top, gaps):

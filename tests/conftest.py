@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 from primeraces import sieve
+
+#: marks a test that sieves near or past 10^9, seconds to a minute of work:
+#: it runs only with PRIMERACES_SLOW=1
+slow = pytest.mark.skipif(os.environ.get("PRIMERACES_SLOW") != "1",
+                          reason="slow; set PRIMERACES_SLOW=1")
 
 
 def trial_division_primes(limit):

@@ -35,8 +35,7 @@ def criterion(number, description, budget=None):
 
 def residue_rows(limit, q, rows):
     xs = [r[0] for r in rows]
-    return counts_by_x(sieve.count_in_progressions(limit, q, xs,
-                                                   allow_long=True))
+    return counts_by_x(sieve.count_in_progressions(limit, q, xs))
 
 
 def test_criterion_01_mod4_table_exact():
@@ -93,7 +92,7 @@ def test_criterion_05_pi_and_gauss_overcount_to_1e9():
     with criterion(5, "pi(10^8), pi(10^9) exact; li overcounts within 1",
                    budget=90.0):
         assert sieve.count_primes(10**8) == 5761455
-        assert sieve.count_primes(10**9, allow_long=True) == 50847534
+        assert sieve.count_primes(10**9) == 50847534
         for x, pi_x, overcount, _ in pub.PI_OVERCOUNT_ROWS[:2]:
             got = lf.gauss_overcount(x, pi_x)
             print("    x=1e%d li overcount %d (published %d)"

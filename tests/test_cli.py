@@ -87,15 +87,27 @@ def test_pi_checkpoint_file_without_modulus(tmp_path, capsys):
 # one point with q = 1 is a Lucy count, under the sieve's limit checks
 @pytest.mark.parametrize("argv, want", [
     (["--limit", "1"], 2),
-    (["--limit", "10000000001", "--allow-long"], 3),
-    (["--limit", "2e9"], 3),
-    (["--limit", "2e9", "--checkpoints", "1e6"], 3),
+    (["--limit", "10000000001"], 3),
+    (["--limit", "2e10"], 3),
+    (["--limit", "10000000001", "--checkpoints", "1e6"], 3),
     (["--limit", "1e8", "--checkpoints", "2e8"], 2),
 ])
 def test_pi_at_one_point_exit_codes(argv, want, capsys):
     code, out, err = run_cli(capsys, "pi", *argv)
     assert code == want
     assert out == "" and err.startswith("error: ")
+
+
+# limits up to the 10^10 cap run with no opt-in: a Lucy count, or a table
+# that sieves only to its last checkpoint
+@pytest.mark.parametrize("argv, want", [
+    (["--limit", "2e9"], "2000000000,98222287\n"),
+    (["--limit", "2e9", "--checkpoints", "1e6"], "1000000,78498\n"),
+    (["--limit", "5e9", "--modulus", "4", "--checkpoints", "1000"],
+     "# modulus=4\n1000,1:80,3:87\n"),
+])
+def test_pi_past_1e9_runs(argv, want, capsys):
+    assert run_cli(capsys, "pi", *argv) == (0, want, "")
 
 
 def test_pi_at_one_point_artifacts(tmp_path, capsys):
@@ -387,6 +399,7 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["zeros", "--lfunction", "quadratic:5", "--tmax", "0"],
     ["twins", "--limit", "10", "--gaps", "2,2"],
     ["twins", "--limit", "1000", "--checkpoints", "1000,100"],
+    ["twins", "--limit", "0", "--checkpoints", "10"],
 ])
 def test_bad_input_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
@@ -477,15 +490,23 @@ def test_histogram_samples_from_x_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["pi", "--limit", "1e3"],
+    ["race", "--modulus", "4", "--teams", "3:1", "--limit", "1e3"],
     ["zeros", "--lfunction", "zeta", "--tmax", "10"],
+    EXPLICIT,
+    ["twins", "--limit", "1e3"],
+    ["histogram"],
     ["walk", "--teams", "3", "--steps", "10", "--trials", "1"],
-    ["sawtooth", "--waves", "3"],
     ["psi", "--limit", "1e3"],
+    ["sawtooth", "--waves", "3"],
 ])
-def test_allow_long_only_on_sieve_commands(argv, capsys):
+def test_no_opt_in_flag_for_long_runs(argv, capsys):
+    # argparse expands a unique prefix, so this is refused only while no
+    # option of the subcommand starts with it, the retired opt-in included
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--allow-long"])
+        cli.main(argv + ["--allow"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --allow\n" in capsys.readouterr().err
 
 
 def test_empty_checkpoint_list_is_usage_error(tmp_path, capsys):

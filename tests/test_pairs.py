@@ -176,6 +176,19 @@ def test_pair_race_scales_that_overflow_int64_are_refused(tmp_path,
     assert max(scales) * (sieve.HARD_CAP // 2 + 1) < 2**63
 
 
+def test_pair_race_bounds_by_pi_where_the_odd_count_overflows():
+    # scale 3.3e12 times 1.5e7 odd numbers is past int64, times
+    # pi(3e7) = 1,857,859 is not; the largest scaled count is 5.1e17
+    ledger, _ = pairs.pair_race([99706, 99814, 99860, 99964], 3 * 10**7)
+    assert int(ledger.counts.max()) == 511_908_441_833_748_960
+
+
+def test_pair_race_cap_names_limit_plus_gap():
+    with pytest.raises(CapacityError, match=r"^limit 9999999950 \+ largest "
+                       r"gap 100 exceeds hard cap 10000000000$"):
+        pairs.pair_race([2, 100], 10**10 - 50)
+
+
 def test_c2_cached(c2):
     assert pairs.compute_c2() is c2
     assert pairs.hl_prediction(10**6) == 2.0 * c2.c2 * lfunctions.li2(10**6)

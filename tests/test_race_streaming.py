@@ -9,7 +9,6 @@ boundaries inside each race, which is where a streaming core goes wrong.
 """
 
 import math
-import os
 import random
 import tracemalloc
 
@@ -18,9 +17,9 @@ import pytest
 from scipy.special import digamma
 
 from primeraces import pairs, races, sieve
-from primeraces.errors import DomainError
+from primeraces.errors import CapacityError, DomainError
 
-from conftest import pair_starts
+from conftest import pair_starts, slow
 
 TEAMS4 = [races.TeamSpec("3", {3}), races.TeamSpec("1", {1})]
 
@@ -225,10 +224,21 @@ def test_dense_race_memory_is_one_segment_not_the_matrix():
     assert peak < 24 * 2**20, peak / 2**20
 
 
+def test_ledger_past_1e9_refuses_to_hold_its_samples_before_sieving():
+    ledger = races.run_dense_race(10**9 + 1, 4, TEAMS4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="above HELD_CAP 1000000000"):
+            ledger.xs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
 # --- a far-out mod-4 era, checked instead of quoted --------------------------
 
-@pytest.mark.skipif(os.environ.get("PRIMERACES_SLOW") != "1",
-                    reason="sieves 9.5e8; set PRIMERACES_SLOW=1")
+@slow  # sieves 9.5e8
 def test_mod4_lead_era_near_952_million():
     # strict convention: the era ends where team 1 last leads strictly;
     # the prime 952,223,491 = 3 (mod 4) then ties the race until 952,223,507
@@ -243,12 +253,11 @@ def test_mod4_lead_era_near_952_million():
     assert (after[1].x - 1, after[1].new_leader) == (952_223_506, "3")
 
 
-@pytest.mark.skipif(os.environ.get("PRIMERACES_SLOW") != "1",
-                    reason="sieves 6.4e9 twice; set PRIMERACES_SLOW=1")
+@slow  # sieves 6.4e9 twice
 def test_mod4_lead_era_near_6_3_billion():
     # quoted from its first tie to its last tie, unlike the strict era above
     lo, hi = 6_309_280_697, 6_403_150_363
-    ledger = races.run_dense_race(6_403_200_000, 4, TEAMS4, allow_long=True)
+    ledger = races.run_dense_race(6_403_200_000, 4, TEAMS4)
     era = [w for w in races.lead_windows(ledger, "1") if lo <= w[0] < hi]
     assert (era[0][0], era[-1][1], len(era)) == \
         (6_309_280_709, 6_403_150_198, 3_117)

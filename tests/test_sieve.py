@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,8 +63,7 @@ def test_lucy_matches_the_sieve():
 
 @pytest.mark.parametrize("x, pi_x", [r[:2] for r in pub.PI_OVERCOUNT_ROWS])
 def test_count_primes_published(x, pi_x):
-    assert sieve.count_primes(x, allow_long=x > sieve.LONG_RUN_THRESHOLD) \
-        == pi_x
+    assert sieve.count_primes(x) == pi_x
 
 
 def test_lucy_below_two_is_zero():
@@ -75,8 +75,18 @@ def test_limit_validation():
         sieve.count_primes(1)
     with pytest.raises(CapacityError):
         sieve.count_primes(10**10 + 1)
-    with pytest.raises(CapacityError):
-        sieve.count_primes(2 * 10**9)  # long-running needs the opt-in flag
+    assert sieve.count_primes(2 * 10**9) == 98222287  # no opt-in below it
+
+
+def test_held_primes_are_refused_past_1e9_before_any_sieving():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="above HELD_CAP 1000000000"):
+            sieve.primes_up_to(10**9 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 def test_mod4_table_rows():
