@@ -213,23 +213,23 @@ def cmd_zeros(args):
     table = lf.find_zeros(lf._parse_lid(args.lfunction), args.tmax)
     if args.format == "json":
         return _json({"lfunction": str(table.id),
-                      "precision": table.precision,
+                      "precision": lf.ZERO_PRECISION,
                       "ordinates": [round(float(g), 9)
                                     for g in table.ordinates]})
     return lf.format_zero_table(table)
 
 
 def cmd_explicit(args):
-    table = lf.parse_zero_table(args.zeros)
+    pi_li = args.target == "pi-li"
+    table = lf.parse_zero_table(args.zeros, lf.ZETA if pi_li else lf.BETA4)
     lo, hi = _parse_range(args.range)
     grid = waves.log_grid(lo, hi, _check_count(args.points, "--points"))
     truncations = _parse_ints(args.truncations, "truncation list")
 
     # exact counts at the integer part of every grid point, one sieve pass
     xs, at = np.unique(np.floor(grid), return_inverse=True)
-    counts = sieve.count_in_progressions(
-        int(hi), 1 if args.target == "pi-li" else 4, xs)
-    if args.target == "pi-li":
+    counts = sieve.count_in_progressions(int(hi), 1 if pi_li else 4, xs)
+    if pi_li:
         truth = waves.lhs_pi_li(grid, counts.column(0)[at])
     else:
         truth = races.shanks_ratio(grid, counts.column(3)[at],

@@ -10,7 +10,7 @@ growing like e^(pi*|t|/2), so the term count is chosen from |Im s|.  The
 mod-4 beta function uses the same weights on its own alternating series.
 Real quadratic characters are summed in complete periods (blocks of q whose
 character sum vanishes) with an Euler-Maclaurin tail on the smooth block
-function.
+function.  Both run on a grid of t, and the zero search serves all three.
 """
 
 import functools
@@ -23,6 +23,9 @@ from . import sieve
 from .errors import CapacityError, DomainError, ParseError
 
 T_MAX_CAP = 500.0
+#: terms summed per evaluation point: the CVZ order for zeta and beta4,
+#: complete periods times q for a quadratic character
+TERMS_CAP = 1 << 15
 #: zero search: scan step along the critical line, how often a dip toward
 #: zero without a sign change is rescanned at half the step, and the
 #: bracket width each zero is bisected to
@@ -35,7 +38,7 @@ _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 @dataclass(frozen=True)
 class LFunctionId:
     """Which L-function: riemann zeta, the mod-4 beta, or a real quadratic
-    character modulo an odd prime q."""
+    character modulo an odd prime q <= TERMS_CAP (checked first)."""
 
     kind: str
     q: int | None = None
@@ -45,10 +48,21 @@ class LFunctionId:
             raise DomainError("unknown L-function kind %r" % self.kind)
         if self.kind == "quadratic":
             q = self.q
+            if q is not None and q > TERMS_CAP:
+                raise CapacityError("quadratic character mod %d: one period "
+                                    "is above the cap %d" % (q, TERMS_CAP))
             if q is None or q % 2 == 0 or not sieve.is_prime(q):
                 raise DomainError("quadratic character needs an odd prime q")
         elif self.q is not None:
             raise DomainError("%s takes no modulus" % self.kind)
+
+    @property
+    def d(self):
+        """Fundamental discriminant of the character: 1 for zeta, -4 for
+        beta4, and q or -q, whichever is 1 mod 4, for the Legendre symbol."""
+        if self.q is None:
+            return 1 if self.kind == "zeta" else -4
+        return self.q if self.q % 4 == 1 else -self.q
 
     def __str__(self):
         return self.kind if self.q is None else "quadratic:%d" % self.q
@@ -66,15 +80,12 @@ def quadratic(q):
 class ZeroTable:
     id: LFunctionId
     ordinates: np.ndarray
-    precision: float
 
     def __post_init__(self):
         ords = np.asarray(self.ordinates, dtype=float)
         object.__setattr__(self, "ordinates", ords)
         if len(ords) and (ords[0] <= 0 or np.any(np.diff(ords) <= 0)):
             raise DomainError("ordinates must be positive, strictly ascending")
-        if not self.precision > 0:
-            raise DomainError("precision must be positive")
 
     def __len__(self):
         return len(self.ordinates)
@@ -209,7 +220,7 @@ def psi_rh_inequality_check(x, psi_value=None):
 
 
 # ---------------------------------------------------------------------------
-# alternating-series acceleration (Chebyshev weights)
+# L-series on a grid of t
 
 @functools.lru_cache(maxsize=8)
 def _cvz_weights(n):
@@ -227,98 +238,94 @@ def _cvz_weights(n):
     return w
 
 
-def default_terms(im_s):
-    """Acceleration order needed for |Im s| at a tolerance of 1e-12."""
-    t = abs(float(im_s))
-    return max(24, int(math.ceil(
-        (0.5 * math.pi * t + math.log(1e12) + 6.0) / _LOG_CVZ)) + 8)
+def _terms(lid, t):
+    """Terms per evaluation point for |Im s| up to t: the CVZ order for a
+    tolerance of 1e-12, or ceil(|t|) + 16 complete periods of a quadratic
+    character.  CapacityError above TERMS_CAP, before anything is built."""
+    t = abs(float(t))
+    if lid.q is None:
+        n = max(24, int(math.ceil(
+            (0.5 * math.pi * t + math.log(1e12) + 6.0) / _LOG_CVZ)) + 8)
+    else:
+        n = lid.q * (math.ceil(t) + 16)
+    if n > TERMS_CAP:
+        raise CapacityError("%s at |t| = %g needs %d terms, above the cap %d"
+                            % (lid, t, n, TERMS_CAP))
+    return n
 
 
-def _l_grid(lid, sigma, ts, n_terms):
-    """Zeta or beta4 at every s = sigma + i*t for t in the grid ts: the
-    alternating sum_k (-1)^k w_k b_k^(-s) with CVZ weights over the bases
-    b = 1, 2, 3, ... (divided by 1 - 2^(1-s) for zeta) or 1, 3, 5, ...
-    (beta4)."""
+#: B_2m / (2m)! for m = 1..7, the Euler-Maclaurin weights
+_EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+       -691 / 1307674368000, 1 / 74724249600)
+
+
+def _em_tail(chi, n, s):
+    """Sum over x >= J of f(x) = sum_r chi(r) (xq + r)^(-s), for chi of
+    period q summing to zero and n = Jq, by Euler-Maclaurin with 7 Bernoulli
+    terms: f^(k)(J) = (-1)^k (s)_k q^k sum_r chi(r) u_r^(-s-k), u_r = n + r.
+    Each such sum is -n^(-s-k) (s + k) g(s + k), where g(w) = sum_r chi(r)
+    (1 - (u_r/n)^(-w)) / w is summed as 32 terms of its power series in w,
+    whose ratio |w| ln(u_r/n) < |w|/J stays near 1 for |Im s| <= J - 16;
+    so the integral term, -n^(1-s) g(s - 1) / q, has no pole at s = 1."""
+    J = n // len(chi)
+    lr = np.log1p(np.arange(len(chi)) / n)
+    w = s + np.arange(-1.0, 14.0)[:, None]  # row k + 1 of g is g(s + k)
+    g = 0.0
+    for j in range(32, 0, -1):
+        g = g * -w + chi @ lr ** j / math.factorial(j)
+    total = J * g[0] + s * g[1] / 2
+    rising = 1.0
+    for i, b in enumerate(_EM):
+        rising = rising * (s + 2 * i) * (s + 2 * i + 1)  # (s)_(2i+2)
+        total += b * rising * J ** (-1.0 - 2 * i) * g[2 * i + 2]
+    return -np.exp(-s * math.log(n)) * total
+
+
+def _l_grid(lid, sigma, ts, n):
+    """L(s) at every s = sigma + i*t for t in the grid ts, from n terms.
+
+    Zeta and beta4: the alternating sum_k (-1)^k w_k b_k^(-s) with CVZ
+    weights over the bases b = 1, 2, 3, ... (divided by 1 - 2^(1-s) for
+    zeta) or 1, 3, 5, ... (beta4).  The Legendre character mod q: the n =
+    Jq integers of J complete periods summed directly, then the tail of
+    `_em_tail` (each period sums to zero, so the block function decays one
+    power faster); skipped where n^(-sigma) is below 1e-304."""
     ts = np.asarray(ts, dtype=float)
-    step = 1 if lid.kind == "zeta" else 2
-    lb = np.log(np.arange(1, step * n_terms + 1, step, dtype=float))
-    signs = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
-    coef = _cvz_weights(n_terms) * signs * np.exp(-sigma * lb)
+    if lid.q is None:
+        step = 1 if lid == ZETA else 2
+        lb = np.log(np.arange(1, step * n + 1, step, dtype=float))
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        coef = _cvz_weights(n) * signs * np.exp(-sigma * lb)
+    else:
+        chi = np.full(lid.q, -1.0)
+        chi[0] = 0.0
+        chi[np.arange(1, lid.q) ** 2 % lid.q] = 1.0
+        head = np.tile(chi, n // lid.q)
+        m = np.flatnonzero(head)
+        lb = np.log(m)
+        coef = head[m] * np.exp(-sigma * lb)
     out = np.empty(len(ts), dtype=complex)
-    chunk = max(1, (1 << 22) // n_terms)
+    chunk = max(1, (1 << 22) // len(lb))
     for i in range(0, len(ts), chunk):
-        phase = np.exp(-1j * np.outer(ts[i:i + chunk], lb))
-        out[i:i + chunk] = phase @ coef
-    if lid.kind == "zeta":
+        out[i:i + chunk] = np.exp(-1j * np.outer(ts[i:i + chunk], lb)) @ coef
+    if lid == ZETA:
         out /= 1.0 - np.exp((1.0 - sigma - 1j * ts) * math.log(2.0))
+    elif lid.q is not None and sigma * math.log(n) < 700:
+        out += _em_tail(chi, n, sigma + 1j * ts)
     return out
 
 
-def _check_s(s):
+def evaluate_l(lid, s):
+    """Evaluate the identified L-function at s with Re(s) > 0, from the
+    term count `_terms` sets for Im s (CapacityError above TERMS_CAP)."""
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError("s must be finite")
     if s.real <= 0:
         raise DomainError("evaluation requires Re(s) > 0")
-    return s
-
-
-_BERNOULLI = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
-              -691.0 / 2730, 7.0 / 6]
-
-
-def legendre_symbol(n, q):
-    """(n/q) for odd prime q: 1 on nonzero squares, -1 on nonsquares."""
-    r = pow(n % q, (q - 1) // 2, q)
-    return r - q if r > 1 else r
-
-
-def _quadratic_l(q, s, blocks):
-    """L(s, chi_q) for the real character mod an odd prime q: sum complete
-    periods (each sums to zero, so the block function decays one power
-    faster), then close with an Euler-Maclaurin tail."""
-    chi = np.array([legendre_symbol(r, q) for r in range(q)], dtype=float)
-    r = np.arange(q, dtype=float)
-    J = max(int(blocks), int(math.ceil(4.0 * (abs(s.imag) + 8.0) / q)) + 2)
-    j = np.arange(J, dtype=float)
-    grid = np.add.outer(j * q, r)
-    grid[0, 0] = 1.0  # n = 0 never contributes (chi[0] = 0)
-    head = np.sum(chi * np.exp(-s * np.log(grid)))
-    u = J * q + r
-    lnu = np.log(u)
-    # integral term: sum_r chi(r) (Jq+r)^(1-s) / ((s-1) q)
-    tail = np.sum(chi * np.exp((1.0 - s) * lnu)) / ((s - 1.0) * q)
-    f0 = chi * np.exp(-s * lnu)
-    tail += 0.5 * np.sum(f0)
-    rising = 1.0 + 0j
-    qpow = 1.0
-    fact = 1.0
-    for m, b2m in enumerate(_BERNOULLI, start=1):
-        # f^(2m-1)(J) = -(s)_(2m-1) q^(2m-1) (Jq+r)^(-s-2m+1)
-        rising *= s + (2 * m - 2)
-        if m > 1:
-            rising *= s + (2 * m - 3)
-        qpow *= q * q
-        fact *= (2 * m) * (2 * m - 1)
-        deriv = np.sum(chi * np.exp((-s - (2 * m - 1)) * lnu))
-        tail += (b2m / fact) * rising * (qpow / q) * deriv
-    return complex(head + tail)
-
-
-def evaluate_l(lid, s, terms=None):
-    """Evaluate the identified L-function at s with Re(s) > 0.
-
-    ``terms`` is the acceleration order (zeta/beta4) or the number of
-    complete character periods summed before the tail (quadratic); the
-    error decreases geometrically in it.  Defaults come from Im(s).
-    """
-    s = _check_s(s)
-    if lid.kind == "quadratic":
-        return _quadratic_l(lid.q, s, terms or 48)
-    if lid.kind == "zeta" and s == 1:
+    if lid == ZETA and s == 1:
         raise DomainError("zeta has its pole at s = 1")
-    n = terms or default_terms(s.imag)
-    return complex(_l_grid(lid, s.real, [s.imag], n)[0])
+    return complex(_l_grid(lid, s.real, [s.imag], _terms(lid, s.imag))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,60 +353,52 @@ def _im_log_gamma(a, t):
     return v - np.arctan2(t, a + _SHIFT).sum(0)
 
 
-def _theta_zeta(ts):
-    """Rotation angle for zeta: Im log Gamma(1/4 + it/2) - (t/2) ln pi."""
+def _theta(d, ts):
+    """Rotation angle of the real primitive character of fundamental
+    discriminant d (1 for zeta): Im log Gamma((1/2 + a + it)/2) +
+    (t/2) ln(|d|/pi), a = 0 for d > 0 and 1 for d < 0, from the completed
+    function (|d|/pi)^((s+a)/2) Gamma((s+a)/2) L(s), whose root number is 1."""
     ts = np.asarray(ts, dtype=float)
-    return _im_log_gamma(0.25, 0.5 * ts) - 0.5 * ts * math.log(math.pi)
+    return (_im_log_gamma(0.25 if d > 0 else 0.75, 0.5 * ts)
+            + 0.5 * ts * math.log(abs(d) / math.pi))
 
 
-def _theta_beta4(ts):
-    """Rotation angle from the completed mod-4 function
-    (4/pi)^((s+1)/2) Gamma((s+1)/2) L(s)."""
-    ts = np.asarray(ts, dtype=float)
-    return _im_log_gamma(0.75, 0.5 * ts) + 0.5 * ts * math.log(4.0 / math.pi)
+def _hardy_z_grid(lid, ts, n):
+    """Real rotated L-function along the critical line at the grid ts."""
+    return (np.exp(1j * _theta(lid.d, ts)) * _l_grid(lid, 0.5, ts, n)).real
 
 
-def _hardy_z_grid(lid, ts, n_terms):
-    """Real rotated function of zeta or beta4 along the critical line at
-    the grid ts."""
-    theta = _theta_zeta if lid.kind == "zeta" else _theta_beta4
-    ts = np.asarray(ts, dtype=float)
-    return (np.exp(1j * theta(ts)) * _l_grid(lid, 0.5, ts, n_terms)).real
-
-
-def _bisect_zeros(lid, brackets, n_terms, precision):
+def _bisect_zeros(lid, brackets, n):
     """Midpoints of the sign-change brackets (a, b, f(a)), each bisected to
-    width <= precision.  All live brackets step together, one grid call over
-    their midpoints per step; each follows the same midpoints as it would
-    alone."""
+    width <= ZERO_PRECISION.  All live brackets step together, one grid call
+    over their midpoints per step; each follows the same midpoints as it
+    would alone."""
     a, b, fa = np.array(brackets, dtype=float).reshape(-1, 3).T
-    live = np.flatnonzero(b - a > precision)
+    live = np.flatnonzero(b - a > ZERO_PRECISION)
     while len(live):
         m = 0.5 * (a[live] + b[live])
-        fm = _hardy_z_grid(lid, m, n_terms)
+        fm = _hardy_z_grid(lid, m, n)
         left = fa[live] * fm <= 0
         right = ~left
         b[live[left]] = m[left]
         a[live[right]], fa[live[right]] = m[right], fm[right]
-        live = live[b[live] - a[live] > precision]
+        live = live[b[live] - a[live] > ZERO_PRECISION]
     return 0.5 * (a + b)
 
 
 def find_zeros(lid, t_max):
     """All ordinates gamma in (0, t_max] with L(1/2 + i*gamma) = 0, each
     certified by a sign change of the rotated real function and refined
-    by bisection to ZERO_PRECISION."""
-    if lid.kind == "quadratic":
-        raise DomainError("zero finding supports zeta and beta4 only; "
-                          "ingest published ordinates via parse_zero_table")
+    by bisection to ZERO_PRECISION.  CapacityError above T_MAX_CAP, or
+    where t_max needs more than TERMS_CAP terms (for q = 163, above 185)."""
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
         raise CapacityError("t_max %g above the desk-scale cap %g"
                             % (t_max, T_MAX_CAP))
     if t_max <= 0:
-        return ZeroTable(lid, np.empty(0), ZERO_PRECISION)
-    n_terms = default_terms(t_max)
+        return ZeroTable(lid, np.empty(0))
+    n = _terms(lid, t_max)
 
     def scan(spans, step, depth):
         """Sign-change brackets (a, b, f(a)) on the grids of this step over
@@ -408,7 +407,7 @@ def find_zeros(lid, t_max):
         grids = [np.arange(a, b + step / 2, step) for a, b in spans]
         if depth == 0 and grids[0][-1] < t_max:
             grids[0] = np.append(grids[0], t_max)
-        values = _hardy_z_grid(lid, np.concatenate(grids), n_terms)
+        values = _hardy_z_grid(lid, np.concatenate(grids), n)
         found, dips = [], []
         for ts in grids:
             zs, values = values[:len(ts)], values[len(ts):]
@@ -429,15 +428,14 @@ def find_zeros(lid, t_max):
 
     lo = min(SCAN_STEP, t_max / 8)
     brackets = scan([(lo, float(t_max))], SCAN_STEP, 0)
-    zeros = sorted(set(round(z, 12) for z in
-                       _bisect_zeros(lid, brackets, n_terms, ZERO_PRECISION)))
+    zeros = sorted(set(round(z, 12) for z in _bisect_zeros(lid, brackets, n)))
     zeros = [z for z in zeros if 0 < z <= t_max]
     # collapse duplicates rediscovered by overlapping refined scans
     dedup = []
     for z in zeros:
         if not dedup or z - dedup[-1] > 2 * ZERO_PRECISION:
             dedup.append(z)
-    return ZeroTable(lid, np.array(dedup), ZERO_PRECISION)
+    return ZeroTable(lid, np.array(dedup))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def parse_zero_table(path, lid=None):
                 if body.startswith("lfunction="):
                     try:
                         file_id = _parse_lid(body.split("=", 1)[1])
-                    except DomainError:
+                    except (DomainError, CapacityError):
                         raise ParseError("bad lfunction header", lineno)
                 continue
             try:
@@ -489,5 +487,4 @@ def parse_zero_table(path, lid=None):
             ordinates.append(g)
     if lid is not None and file_id is not None and file_id != lid:
         raise ParseError("file holds %s, expected %s" % (file_id, lid))
-    return ZeroTable(file_id or lid or ZETA, np.array(ordinates),
-                     ZERO_PRECISION)
+    return ZeroTable(file_id or lid or ZETA, np.array(ordinates))

@@ -395,8 +395,8 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["sawtooth", "--waves", "3", "--points", "0"],
     ["sawtooth", "--waves", "3", "--points", "0", "--format", "svg"],
     ["zeros", "--lfunction", "foo", "--tmax", "10"],
-    ["zeros", "--lfunction", "quadratic:5", "--tmax", "10"],
-    ["zeros", "--lfunction", "quadratic:5", "--tmax", "0"],
+    ["zeros", "--lfunction", "quadratic:9", "--tmax", "10"],
+    ["zeros", "--lfunction", "quadratic:9", "--tmax", "0"],
     ["twins", "--limit", "10", "--gaps", "2,2"],
     ["twins", "--limit", "1000", "--checkpoints", "1000,100"],
     ["twins", "--limit", "0", "--checkpoints", "10"],
@@ -478,10 +478,54 @@ def test_count_at_the_cap_is_accepted(capsys):
 
 @pytest.mark.parametrize("target", ["pi-li", "mod4"])
 def test_explicit_from_x_two(target, capsys):
-    code, out, _ = run_cli(capsys, "explicit", "--zeros", ZEROS, "--target",
+    zeros = ZEROS if target == "pi-li" else str(GOLDEN / "zeros_beta4.zeros")
+    code, out, _ = run_cli(capsys, "explicit", "--zeros", zeros, "--target",
                            target, "--range", "2:100", "--points", "5")
     assert code == 0
     assert out.splitlines()[1].startswith("2,")
+
+
+# each target sums the waves of its own L-function; a table without a
+# header is taken as given
+def test_explicit_checks_the_zero_table_against_the_target(tmp_path, capsys):
+    bare = tmp_path / "bare.zeros"
+    text = (GOLDEN / "zeros_zeta.zeros").read_text()
+    bare.write_text(text.split("\n", 1)[1])
+    for zeros, target, want in [
+            (ZEROS, "mod4", 4),
+            (str(GOLDEN / "zeros_beta4.zeros"), "pi-li", 4),
+            (str(bare), "mod4", 0), (str(bare), "pi-li", 0)]:
+        code, out, err = run_cli(capsys, "explicit", "--zeros", zeros,
+                                 "--target", target, "--range", "1e3:1e4",
+                                 "--points", "5")
+        assert code == want, (zeros, target)
+        if want:
+            assert out == "" and "expected" in err
+
+
+# a modulus whose one period is above the term cap is refused before any
+# primality test, from the command line (exit 3) or a file header (exit 4)
+def test_huge_quadratic_modulus_exits_at_once(tmp_path, capsys):
+    huge = "quadratic:2305843009213693951"
+    zeros = tmp_path / "huge.zeros"
+    zeros.write_text("# lfunction=%s\n1.5\n" % huge)
+    for argv, want in [
+            (["zeros", "--lfunction", huge, "--tmax", "1"], 3),
+            (["explicit", "--zeros", str(zeros), "--target", "mod4",
+              "--range", "1e3:1e4", "--points", "5"], 4)]:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == want and out == "" and err.startswith("error: ")
+
+
+def test_zeros_of_a_quadratic_character(capsys):
+    code, out, _ = run_cli(capsys, "zeros", "--lfunction", "quadratic:163",
+                           "--tmax", "1", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["lfunction"] == "quadratic:163" and obj["precision"] == 1e-9
+    assert obj["ordinates"] == [pytest.approx(0.20290134, abs=1e-8)]
 
 
 def test_histogram_samples_from_x_two(capsys):

@@ -53,6 +53,8 @@ CASES = [
     ("zeros_beta4.zeros", "zeros --lfunction beta4 --tmax 60", ()),
     ("zeros_zeta_180.zeros", "zeros --lfunction zeta --tmax 180", ()),
     ("zeros_beta4_180.zeros", "zeros --lfunction beta4 --tmax 180", ()),
+    ("zeros_quadratic_163.zeros", "zeros --lfunction quadratic:163 --tmax 5",
+     ()),
     ("walk.json", "walk --teams 3 --steps 10000 --trials 50 --seed 7", ()),
     ("explicit_pi_li.csv", EXPLICIT % "zeta" + " --target pi-li "
      "--stats-out explicit_pi_li.stats.json", ("explicit_pi_li.stats.json",)),

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from primeraces import lfunctions as lf
 from primeraces.errors import CapacityError, DomainError, ParseError
 
 import published_tables as pub
+from conftest import slow
 
 mp.mp.dps = 30
 
@@ -24,11 +26,28 @@ def mp_beta4(s):
                               - mp.zeta(s, mp.mpf(3) / 4)))
 
 
+def mp_chi(q):
+    """The Legendre character mod an odd prime q as a list chi(0..q-1),
+    from the set of nonzero squares mod q."""
+    squares = {r * r % q for r in range(1, q)}
+    return [0] + [1 if r in squares else -1 for r in range(1, q)]
+
+
 def mp_quadratic(q, s):
-    s = mp.mpc(s)
-    return complex(mp.power(q, -s) * mp.fsum(
-        lf.legendre_symbol(r, q) * mp.zeta(s, mp.mpf(r) / q)
-        for r in range(1, q)))
+    return complex(mp.dirichlet(mp.mpc(s), mp_chi(q)))
+
+
+def mp_rotated(q, t):
+    """e^(i theta) L(1/2 + it) for the character mod q, theta from mpmath's
+    log Gamma and the conductor: real on the critical line."""
+    d = q if q % 4 == 1 else -q
+    a = 0 if d > 0 else 1
+    t = mp.mpf(t)
+    theta = mp.im(mp.loggamma((mp.mpf(1) / 2 + a + 1j * t) / 2)) \
+        + t / 2 * mp.log(abs(d) / mp.pi)
+    value = mp.exp(1j * theta) * mp.dirichlet(mp.mpc(0.5, t), mp_chi(q))
+    assert abs(mp.im(value)) < 1e-15
+    return float(mp.re(value))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +291,30 @@ def test_beta4_against_oracle():
         assert abs(lf.evaluate_l(lf.BETA4, s) - mp_beta4(s)) < 1e-9
 
 
+# up to t = 500 at the default term count, or refused where that count is
+# above the cap; far right the tail is dropped below double precision
 @pytest.mark.parametrize("q", [3, 5, 7, 163])
 def test_quadratic_against_oracle(q):
-    for s in (0.75, 0.5 + 0.2029j, 1.5 + 3j, 0.5 + 10j):
-        got = lf.evaluate_l(lf.quadratic(q), s, terms=64)
-        assert abs(got - mp_quadratic(q, s)) < 1e-8
+    for s in (0.75, 0.5 + 0.2029j, 1.5 + 3j, 0.5 + 10j, 0.5 + 100j,
+              0.5 - 185j, 0.5 + 200j, 0.5 + 500j, 50.0, 1e9):
+        if q == 163 and abs(s.imag) > 185:
+            with pytest.raises(CapacityError):
+                lf.evaluate_l(lf.quadratic(q), s)
+            continue
+        got = lf.evaluate_l(lf.quadratic(q), s)
+        assert abs(got - mp_quadratic(q, s)) < 1e-10, s
+
+
+# L(1, chi) by the class number formula: h = 1 for d = -3, -7 and -163,
+# and the fundamental unit (1 + sqrt 5)/2 for d = 5; the tail is finite at
+# and near s = 1
+@pytest.mark.parametrize("q,value", [
+    (3, math.pi / (3 * math.sqrt(3))), (7, math.pi / math.sqrt(7)),
+    (163, math.pi / math.sqrt(163)),
+    (5, 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5))])
+def test_quadratic_at_one_is_the_class_number_formula(q, value):
+    for s in (1.0, 1 + 1e-15j, 1 - 1e-13):
+        assert abs(lf.evaluate_l(lf.quadratic(q), s) - value) < 1e-12
 
 
 def test_quadratic_needs_odd_prime():
@@ -285,11 +323,34 @@ def test_quadratic_needs_odd_prime():
             lf.quadratic(bad)
 
 
+def test_huge_modulus_refused_before_the_primality_test():
+    start = time.perf_counter()
+    for q in (lf.TERMS_CAP + 1, 2**61 - 1):
+        with pytest.raises(CapacityError):
+            lf.quadratic(q)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_discriminants():
+    assert [lid.d for lid in (lf.ZETA, lf.BETA4, lf.quadratic(3),
+                              lf.quadratic(5), lf.quadratic(163))] == \
+        [1, -4, -3, 5, -163]
+
+
+@pytest.mark.parametrize("d", [1, -4, -3, 5, -163])
+def test_theta_against_mpmath(d):
+    ts = np.concatenate([[0.1, 0.5], np.linspace(1, 500, 60)])
+    a = 0 if d > 0 else 1
+    want = [float(mp.im(mp.loggamma((0.5 + a + 1j * mp.mpf(t)) / 2))
+                  + t / 2 * mp.log(abs(d) / mp.pi)) for t in ts]
+    assert np.max(np.abs(lf._theta(d, ts) - want)) <= 1e-11
+
+
 def test_error_decreases_in_terms():
     s = 0.5 + 25j
     ref = mp_zeta(s)
     # term counts chosen so truncation still dominates double rounding
-    errs = [abs(lf.evaluate_l(lf.ZETA, s, terms=n) - ref)
+    errs = [abs(lf._l_grid(lf.ZETA, s.real, [s.imag], n)[0] - ref)
             for n in (24, 30, 36)]
     assert errs[2] < errs[1] < errs[0]
 
@@ -308,7 +369,7 @@ def test_zeta_zeros_to_31():
 def test_zeta_zero_residuals():
     tab = lf.find_zeros(lf.ZETA, 31)
     for g in tab.ordinates:
-        assert abs(lf.evaluate_l(lf.ZETA, 0.5 + 1j * g, terms=160)) < 1e-6
+        assert abs(lf.evaluate_l(lf.ZETA, 0.5 + 1j * g)) < 1e-6
 
 
 def test_beta4_zeros_against_completed_function_oracle():
@@ -349,11 +410,41 @@ def test_cvz_weights_cached_read_only():
 def test_zero_caps_and_unsupported():
     with pytest.raises(CapacityError):
         lf.find_zeros(lf.ZETA, 501)
-    with pytest.raises(DomainError):
-        lf.find_zeros(lf.quadratic(7), 10)
+    # q = 163 at t = 186 needs 202 periods, 32,926 terms
+    with pytest.raises(CapacityError):
+        lf.find_zeros(lf.quadratic(163), 186)
     for t_max in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             lf.find_zeros(lf.ZETA, t_max)
+
+
+def check_quadratic_zeros(q, t_max, count, checked):
+    """find_zeros for the character mod q: count zeros to t_max, within 1
+    of the smooth count (T/2 pi) ln(qT/2 pi e), and mpmath's rotated value
+    changes sign across the zeros at the indices checked."""
+    tab = lf.find_zeros(lf.quadratic(q), t_max)
+    assert tab.id == lf.quadratic(q) and len(tab) == count
+    x = t_max / (2 * math.pi)
+    assert abs(count - x * math.log(q * x / math.e)) <= 1
+    with mp.workdps(20):
+        for g in tab.ordinates[checked]:
+            assert mp_rotated(q, g - 1e-6) * mp_rotated(q, g + 1e-6) < 0, g
+    return tab
+
+
+@pytest.mark.parametrize("q,count", [(3, 356), (7, 424)])
+def test_quadratic_zeros_to_500(q, count):
+    check_quadratic_zeros(q, 500, count, np.r_[0:5, 50:count:50, -1])
+
+
+def test_quadratic_163_zeros():
+    tab = check_quadratic_zeros(163, 40, 38, np.r_[0:3, -1])
+    assert tab.ordinates[0] == pytest.approx(0.20290134, abs=1e-8)
+
+
+@slow
+def test_quadratic_163_zeros_at_the_cap():
+    check_quadratic_zeros(163, 185, 221, np.r_[0, 100, -1])
 
 
 # ---------------------------------------------------------------------------

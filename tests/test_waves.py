@@ -57,14 +57,14 @@ def test_sawtooth_error_decays_with_doubling():
 # wave sums
 
 def test_wave_sum_empty_table_is_one():
-    tab = lf.ZeroTable(lf.ZETA, np.empty(0), 1e-9)
+    tab = lf.ZeroTable(lf.ZETA, np.empty(0))
     assert waves.wave_series(tab, [100.0]).values[0] == 1.0
 
 
 def test_wave_sum_single_zero_quarter_period():
     g = 2.0
     x = math.exp((math.pi / 2) / g)  # gamma ln x = pi/2
-    tab = lf.ZeroTable(lf.ZETA, np.array([g]), 1e-9)
+    tab = lf.ZeroTable(lf.ZETA, np.array([g]))
     assert waves.wave_series(tab, [x]).values[0] == \
         pytest.approx(1 + 2 / g, rel=1e-12)
 
@@ -74,8 +74,8 @@ def test_wave_sum_subdivision_invariance(zeta_table):
     xs = (10.0, 123.0, 10**5)
     whole = waves.wave_series(zeta_table, xs).values
     k = len(g) // 2
-    prefix = lf.ZeroTable(lf.ZETA, g[:k], 1e-9)
-    suffix = lf.ZeroTable(lf.ZETA, g[k:], 1e-9)
+    prefix = lf.ZeroTable(lf.ZETA, g[:k])
+    suffix = lf.ZeroTable(lf.ZETA, g[k:])
     split = (waves.wave_series(prefix, xs).values - 1.0) + \
         (waves.wave_series(suffix, xs).values - 1.0) + 1.0
     assert split == pytest.approx(whole, rel=1e-10, abs=1e-10)
@@ -105,7 +105,7 @@ def test_negative_truncation_rejected(zeta_table):
 
 def test_wave_series_memory_is_bounded():
     # 10^4 points x 2,000 zeros: one matrix of the whole grid takes 160 MB
-    tab = lf.ZeroTable(lf.ZETA, 14.0 + np.arange(2000.0), 1e-9)
+    tab = lf.ZeroTable(lf.ZETA, 14.0 + np.arange(2000.0))
     grid = waves.log_grid(10, 10**5, 10**4)
     tracemalloc.start()
     try:
