@@ -411,31 +411,27 @@ def find_zeros(lid, t_max):
         found, dips = [], []
         for ts in grids:
             zs, values = values[:len(ts)], values[len(ts):]
+            mag = np.abs(zs)
             sign_change = zs[:-1] * zs[1:] < 0
-            # a dip toward zero without a sign change can hide a close pair
-            interior = np.zeros(len(ts), dtype=bool)
-            interior[1:-1] = (np.abs(zs[1:-1]) < np.abs(zs[:-2])) & \
-                             (np.abs(zs[1:-1]) < np.abs(zs[2:])) & \
-                             (np.abs(zs[1:-1]) < 0.1)
-            for i in range(len(ts) - 1):
-                if sign_change[i]:
-                    found.append((ts[i], ts[i + 1], zs[i]))
-                elif interior[i] and depth < MAX_HALVINGS:
-                    dips.append((ts[i - 1], ts[i + 1]))
+            found += [(ts[i], ts[i + 1], zs[i])
+                      for i in np.flatnonzero(sign_change)]
+            # a dip toward zero with no sign change on either side can hide
+            # a close pair; a minimum beside a sign change is that zero's own
+            dip = ((mag[1:-1] < mag[:-2]) & (mag[1:-1] < mag[2:])
+                   & (mag[1:-1] < 0.1)
+                   & ~sign_change[:-1] & ~sign_change[1:])
+            if depth < MAX_HALVINGS:
+                dips += [(ts[i], ts[i + 2]) for i in np.flatnonzero(dip)]
         if dips:
-            found.extend(scan(dips, step / 2, depth + 1))
+            found += scan(dips, step / 2, depth + 1)
         return found
 
     lo = min(SCAN_STEP, t_max / 8)
     brackets = scan([(lo, float(t_max))], SCAN_STEP, 0)
-    zeros = sorted(set(round(z, 12) for z in _bisect_zeros(lid, brackets, n)))
-    zeros = [z for z in zeros if 0 < z <= t_max]
-    # collapse duplicates rediscovered by overlapping refined scans
-    dedup = []
-    for z in zeros:
-        if not dedup or z - dedup[-1] > 2 * ZERO_PRECISION:
-            dedup.append(z)
-    return ZeroTable(lid, np.array(dedup))
+    # each zero has one bracket, so a repeat fails ZeroTable's ascending check
+    zeros = np.sort([round(z, 12) for z in _bisect_zeros(lid, brackets, n)])
+    # the top grid may step up to half a step past t_max
+    return ZeroTable(lid, zeros[zeros <= t_max])
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,10 @@ def singular_factor(k):
     if k < 1:
         raise DomainError("k must be >= 1")
     num = den = 1
-    n = k
-    while n % 2 == 0:
-        n //= 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
+    for p in sieve.prime_divisors(k):
+        if p > 2:
             num *= p - 1
             den *= p - 2
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        num *= n - 1
-        den *= n - 2
     g = math.gcd(num, den)
     return num // g, den // g
 

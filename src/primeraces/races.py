@@ -237,19 +237,13 @@ def littlewood_bound(x):
 
 
 def euler_phi(q):
-    """Euler's totient by trial-division factorization."""
+    """Euler's totient, from the distinct prime divisors of q."""
     q = int(q)
     if q < 1:
         raise DomainError("totient needs q >= 1")
-    n, phi, p = q, q, 2
-    while p * p <= n:
-        if n % p == 0:
-            phi -= phi // p
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        phi -= phi // n
+    phi = q
+    for p in sieve.prime_divisors(q):
+        phi -= phi // p
     return phi
 
 

@@ -94,9 +94,21 @@ def _check_checkpoints(checkpoints, limit):
     return checkpoints, top
 
 
+def prime_divisors(n):
+    """The distinct prime divisors of n >= 1, ascending, by trial division:
+    for the small moduli that name teams, characters and pair gaps."""
+    ps, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            ps.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return ps + [n] if n > 1 else ps
+
+
 def is_prime(n):
-    """Trial division, for the small moduli that name teams and characters."""
-    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def small_primes(n):

@@ -389,6 +389,36 @@ def test_zero_just_below_t_max_is_found():
     assert abs(mp_beta4(0.5 + 1j * float(tab.ordinates[-1]))) < 1e-8
 
 
+def test_zero_past_t_max_on_the_last_grid_step_is_dropped():
+    # 14.13 rounds the top grid up to 14.15, past zeta's first zero 14.1347
+    assert len(lf.find_zeros(lf.ZETA, 14.13)) == 0
+    assert len(lf.find_zeros(lf.ZETA, 14.14)) == 1
+
+
+def test_dip_rescan_finds_a_close_pair(monkeypatch):
+    # the pair 10.012, 10.031 lies between the grid points 10.00 and 10.05,
+    # where the sign does not change; only the rescan of the dip finds it
+    roots = (3.3, 10.012, 10.031, 20.2)
+    monkeypatch.setattr(lf, "_hardy_z_grid", lambda lid, ts, n: (
+        (ts - 10.012) * (ts - 10.031) * (ts - 3.3) * (ts - 20.2) / 100))
+    tab = lf.find_zeros(lf.ZETA, 25)
+    assert len(tab) == 4
+    assert np.allclose(tab.ordinates, roots, rtol=0, atol=1e-9)
+
+
+def test_each_zero_is_bracketed_once(monkeypatch):
+    sizes = []
+    bisect = lf._bisect_zeros
+
+    def spy(lid, brackets, n):
+        sizes.append(len(brackets))
+        return bisect(lid, brackets, n)
+
+    monkeypatch.setattr(lf, "_bisect_zeros", spy)
+    counts = [len(lf.find_zeros(lid, 180)) for lid in (lf.ZETA, lf.BETA4)]
+    assert counts == sizes == [69, 107]
+
+
 def test_zeta_zeros_to_500_are_all_269():
     tab = lf.find_zeros(lf.ZETA, 500)
     assert len(tab) == 269  # N(500)

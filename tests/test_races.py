@@ -152,6 +152,14 @@ def test_error_term_values():
         races.error_term(100, 4, 2, 25, 13)
 
 
+def test_euler_phi_counts_the_coprime_residues():
+    for q in range(1, 300):
+        assert races.euler_phi(q) == sum(
+            math.gcd(a, q) == 1 for a in range(1, q + 1))
+    with pytest.raises(DomainError):
+        races.euler_phi(0)
+
+
 def test_shanks_ratio_values():
     assert races.shanks_ratio(100, 13, 11) == \
         pytest.approx(0.9210340371976184, abs=1e-12)

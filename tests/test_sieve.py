@@ -41,6 +41,15 @@ def test_pi_10k_trial_division_oracle():
     assert sieve.count_primes(10**4) == 1229
 
 
+def test_prime_divisors_and_is_prime_against_the_sieve():
+    primes = sieve.primes_up_to(2000).tolist()
+    for n in range(1, 2001):
+        want = [p for p in primes if n % p == 0]
+        assert sieve.prime_divisors(n) == want
+        assert sieve.is_prime(n) == (want == [n])
+    assert not sieve.is_prime(0) and not sieve.is_prime(-7)
+
+
 def test_visitor_ascending_once_each():
     seen = sieve.primes_up_to(10**4).tolist()
     total = sieve.count_primes(10**4)
