@@ -30,8 +30,9 @@ li_vals = lf.li(grid)
 truth = waves.WaveSeries(0, grid,
                          (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
 print("\nnormalized li - pi target, fit by zero count:")
-for n in (5, 10, 25, 50):
-    stats = waves.compare_series(truth, waves.wave_series(ztab, grid, n))
+zeta_ns = (5, 10, 25, 50)
+for n, approx in zip(zeta_ns, waves.wave_sums(ztab, grid, zeta_ns)):
+    stats = waves.compare_series(truth, approx)
     print("  %3d zeros: rms %.4f  correlation %.3f"
           % (n, stats.rms, stats.correlation))
 
@@ -40,8 +41,8 @@ truth4 = waves.WaveSeries(0, grid, (mod4.column(3)[at] - mod4.column(1)[at])
                           * np.log(grid) / np.sqrt(grid))
 cols = [("truth", truth4.values)]
 print("\nmod-4 target, fit by zero count:")
-for n in (5, 15, 40):
-    approx = waves.wave_series(btab, grid, n)
+beta_ns = (5, 15, 40)
+for n, approx in zip(beta_ns, waves.wave_sums(btab, grid, beta_ns)):
     cols.append(("approx_%d" % n, approx.values))
     stats = waves.compare_series(truth4, approx)
     print("  %3d zeros: rms %.4f  correlation %.3f"

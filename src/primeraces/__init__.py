@@ -25,6 +25,6 @@ from .sieve import (ResidueCounts, checkpoint_load, count_in_progressions,
 from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
                     compare_series, forbidden_ordering_count,
                     ford_konyagin_grid, lhs_pi_li, log_grid,
-                    sawtooth_partial_sum, wave_series)
+                    sawtooth_partial_sum, wave_sums)
 
 __version__ = "0.1.0"

@@ -223,8 +223,15 @@ def cmd_explicit(args):
     pi_li = args.target == "pi-li"
     table = lf.parse_zero_table(args.zeros, lf.ZETA if pi_li else lf.BETA4)
     lo, hi = _parse_range(args.range)
-    grid = waves.log_grid(lo, hi, _check_count(args.points, "--points"))
+    points = _check_count(args.points, "--points")
     truncations = _parse_ints(args.truncations, "truncation list")
+    if len(truncations) * points > sieve.TABLE_CELL_CAP:
+        raise CapacityError("%d truncations x %d points above the cap %d"
+                            % (len(truncations), points,
+                               sieve.TABLE_CELL_CAP))
+    grid = waves.log_grid(lo, hi, points)
+    # before the sieve, so a repeated or negative truncation is refused first
+    approxes = waves.wave_sums(table, grid, truncations)
 
     # exact counts at the integer part of every grid point, one sieve pass
     xs, at = np.unique(np.floor(grid), return_inverse=True)
@@ -238,8 +245,7 @@ def cmd_explicit(args):
     truth_series = waves.WaveSeries(0, grid, truth)
     columns = [("truth", truth)]
     stats = {}
-    for t in truncations:
-        approx = waves.wave_series(table, grid, t)
+    for t, approx in zip(truncations, approxes):
         columns.append(("approx_%d" % t, approx.values))
         st = waves.compare_series(truth_series, approx)
         stats["approx_%d" % t] = {"rms": st.rms,

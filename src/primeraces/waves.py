@@ -70,24 +70,36 @@ def sawtooth_partial_sum(x, n_waves):
     return float(np.sum(-2.0 * np.sin(2 * math.pi * n * x) / (2 * math.pi * n)))
 
 
-def wave_series(table, x_grid, zeros_used=None):
-    """The wave sum 1 + 2 * sum over ordinates of sin(gamma ln x)/gamma,
-    over the lowest ``zeros_used`` ordinates (all of them for None), on a
-    whole grid of x >= 2.  The grid is summed in blocks of rows of at most
-    2^22 (x, gamma) cells, so memory stays bounded."""
-    if zeros_used is not None and zeros_used < 0:
-        raise DomainError("zeros_used must be >= 0, got %d" % zeros_used)
+def wave_sums(table, x_grid, truncations):
+    """The wave sums 1 + 2 * sum over ordinates of sin(gamma ln x)/gamma on
+    a whole grid of x >= 2, one WaveSeries per entry of ``truncations``:
+    over the lowest m ordinates (all of them for None).  The grid is summed
+    in blocks of rows of at most 2^22 (x, gamma) cells, sized for the
+    largest truncation; each block's sines are taken once and every
+    truncation sums a prefix of their columns."""
+    if len(set(truncations)) != len(truncations):
+        raise DomainError("truncations must be distinct")
+    for m in truncations:
+        if m is not None and m < 0:
+            raise DomainError("zeros_used must be >= 0, got %d" % m)
     x_grid = np.asarray(x_grid, dtype=float)
     if np.any(x_grid < 2):
         raise DomainError("wave sums need x >= 2")
-    g = table.ordinates[:zeros_used]
+    used = [len(table.ordinates[:m]) for m in truncations]
+    g = table.ordinates[:max(used, default=0)]
+    inv = 1.0 / g
     logs = np.log(x_grid)
-    vals = np.empty(len(logs))
+    vals = np.empty((len(used), len(logs)))
     chunk = max(1, (1 << 22) // max(1, len(g)))
+    block = np.empty((min(chunk, len(logs)), len(g)))
     for i in range(0, len(logs), chunk):
-        vals[i:i + chunk] = 1.0 + 2.0 * np.sin(
-            np.outer(logs[i:i + chunk], g)) @ (1.0 / g)
-    return WaveSeries(len(g), x_grid, vals)
+        part = logs[i:i + chunk]
+        s = np.outer(part, g, out=block[:len(part)])
+        np.sin(s, out=s)
+        # 2 (S v) == (2 S) v exactly, without a scaled copy of the block
+        for row, m in zip(vals, used):
+            row[i:i + chunk] = 1.0 + 2.0 * (s[:, :m] @ inv[:m])
+    return [WaveSeries(m, x_grid, v) for m, v in zip(used, vals)]
 
 
 def lhs_pi_li(x, pi_x):

@@ -145,10 +145,8 @@ def test_criterion_09_wave_sum_improves_with_more_zeros():
         li_vals = np.array([lf.li(float(x)) for x in grid])
         truth = waves.WaveSeries(
             0, grid, (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
-        rms10 = waves.compare_series(
-            truth, waves.wave_series(ztab, grid, 10)).rms
-        rms100 = waves.compare_series(
-            truth, waves.wave_series(ztab, grid, 100)).rms
+        rms10, rms100 = (waves.compare_series(truth, approx).rms for approx
+                         in waves.wave_sums(ztab, grid, [10, 100]))
         print("    li-pi target: rms10=%.4f rms100=%.4f" % (rms10, rms100))
         assert rms100 < rms10
 
@@ -160,10 +158,8 @@ def test_criterion_09_wave_sum_improves_with_more_zeros():
         truth4 = waves.WaveSeries(
             0, grid, (c3[pi_at - 1] - c1[pi_at - 1])
             * np.log(grid) / np.sqrt(grid))
-        rms10 = waves.compare_series(
-            truth4, waves.wave_series(btab, grid, 10)).rms
-        rms100 = waves.compare_series(
-            truth4, waves.wave_series(btab, grid, 100)).rms
+        rms10, rms100 = (waves.compare_series(truth4, approx).rms for approx
+                         in waves.wave_sums(btab, grid, [10, 100]))
         print("    mod-4 target: rms10=%.4f rms100=%.4f" % (rms10, rms100))
         assert rms100 < rms10
 

@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -385,6 +386,8 @@ EXPLICIT = ["explicit", "--zeros", ZEROS, "--target", "pi-li",
     ["twins", "--limit", "1000", "--gaps", "x"],
     EXPLICIT + ["--truncations", "abc"],
     EXPLICIT + ["--truncations", "-1"],
+    EXPLICIT + ["--truncations", "10,10"],
+    EXPLICIT + ["--truncations", "10,10", "--format", "json"],
     ["histogram", "--samples", "arith:1:1:0"],
     ["histogram", "--samples", "arith:x:1:5"],
     ["histogram", "--residues", "3", "2"],
@@ -447,6 +450,29 @@ def test_oversized_table_or_gap_set_is_capacity_error(argv, tmp_path,
     assert time.perf_counter() - start < 1.0
     assert code == 3 and "above the cap" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_truncation_list_over_the_cell_cap_is_refused_first(monkeypatch,
+                                                           capsys):
+    # 101 truncations x 100,000 points: 1.01 x 10^7 wave-sum cells, refused
+    # before the grid, a sine or the sieve
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the cap")
+
+    monkeypatch.setattr(cli.waves, "log_grid", refuse)
+    monkeypatch.setattr(cli.waves, "wave_sums", refuse)
+    monkeypatch.setattr(cli.sieve, "count_in_progressions", refuse)
+    many = ",".join(str(t) for t in range(101))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *EXPLICIT[:-1], "100000",
+                                 "--truncations", many)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert "101 truncations x 100000 points above the cap" in err
+    assert peak < 10**6
 
 
 def test_tables_sieve_only_to_their_last_checkpoint(monkeypatch, capsys):

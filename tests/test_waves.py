@@ -56,70 +56,103 @@ def test_sawtooth_error_decays_with_doubling():
 # ---------------------------------------------------------------------------
 # wave sums
 
+def _one(table, grid, m=None):
+    """The values of a single truncation."""
+    return waves.wave_sums(table, grid, [m])[0].values
+
+
 def test_wave_sum_empty_table_is_one():
     tab = lf.ZeroTable(lf.ZETA, np.empty(0))
-    assert waves.wave_series(tab, [100.0]).values[0] == 1.0
+    assert _one(tab, [100.0])[0] == 1.0
 
 
 def test_wave_sum_single_zero_quarter_period():
     g = 2.0
     x = math.exp((math.pi / 2) / g)  # gamma ln x = pi/2
     tab = lf.ZeroTable(lf.ZETA, np.array([g]))
-    assert waves.wave_series(tab, [x]).values[0] == \
-        pytest.approx(1 + 2 / g, rel=1e-12)
+    assert _one(tab, [x])[0] == pytest.approx(1 + 2 / g, rel=1e-12)
 
 
 def test_wave_sum_subdivision_invariance(zeta_table):
     g = zeta_table.ordinates
     xs = (10.0, 123.0, 10**5)
-    whole = waves.wave_series(zeta_table, xs).values
+    whole = _one(zeta_table, xs)
     k = len(g) // 2
     prefix = lf.ZeroTable(lf.ZETA, g[:k])
     suffix = lf.ZeroTable(lf.ZETA, g[k:])
-    split = (waves.wave_series(prefix, xs).values - 1.0) + \
-        (waves.wave_series(suffix, xs).values - 1.0) + 1.0
+    split = (_one(prefix, xs) - 1.0) + (_one(suffix, xs) - 1.0) + 1.0
     assert split == pytest.approx(whole, rel=1e-10, abs=1e-10)
 
 
 def test_wave_series_matches_pointwise(zeta_table):
     grid = waves.log_grid(100, 10**4, 50)
-    series = waves.wave_series(zeta_table, grid, 10)
+    series = _one(zeta_table, grid, 10)
     g = [float(t) for t in zeta_table.ordinates[:10]]
-    for x, v in zip(grid[::13], series.values[::13]):
+    for x, v in zip(grid[::13], series[::13]):
         direct = 1.0 + 2.0 * sum(math.sin(t * math.log(x)) / t for t in g)
         assert v == pytest.approx(direct, rel=1e-12)
-        assert v == pytest.approx(
-            waves.wave_series(zeta_table, [x], 10).values[0], rel=1e-12)
+        assert v == pytest.approx(_one(zeta_table, [x], 10)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("points", [1, 7, 500, 20000])
+def test_wave_sums_match_one_product_per_truncation(points):
+    # every grid here fits one block, so each truncation is bit for bit the
+    # product over its own ordinates alone
+    tab = lf.ZeroTable(lf.BETA4, 6.0 + 1.6 * np.arange(107.0))
+    grid = waves.log_grid(10, 10**7, points) if points > 1 else [1e4]
+    g = tab.ordinates
+    truncations = [0, 10, 100, 1000, None]
+    sums = waves.wave_sums(tab, grid, truncations)
+    assert [s.zeros_used for s in sums] == [0, 10, 100, 107, 107]
+    for s, m in zip(sums, truncations):
+        gm = g[:m]
+        want = 1.0 + 2.0 * np.sin(np.outer(np.log(grid), gm)) @ (1.0 / gm)
+        assert np.array_equal(s.values, want)
+        assert np.array_equal(s.x_grid, np.asarray(grid, dtype=float))
+    assert np.all(sums[0].values == 1.0)
+
+
+def test_wave_sums_of_no_truncation_is_empty(zeta_table):
+    assert waves.wave_sums(zeta_table, [100.0], []) == []
 
 
 def test_negative_truncation_rejected(zeta_table):
-    with pytest.raises(DomainError):
-        waves.wave_series(zeta_table, [100.0], -1)
+    with pytest.raises(DomainError, match="zeros_used must be >= 0, got -1"):
+        waves.wave_sums(zeta_table, [100.0], [10, -1])
     # and x below 2, refused before ln x or a sine is taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for grid in ([1.5, 100.0], [0.0], [-1.0, 100.0]):
             with pytest.raises(DomainError):
-                waves.wave_series(zeta_table, grid, 10)
+                waves.wave_sums(zeta_table, grid, [10])
+
+
+@pytest.mark.parametrize("truncations", [[10, 10], [None, 5, None]])
+def test_repeated_truncation_rejected(zeta_table, truncations):
+    with pytest.raises(DomainError, match="truncations must be distinct"):
+        waves.wave_sums(zeta_table, [100.0], truncations)
 
 
 def test_wave_series_memory_is_bounded():
-    # 10^4 points x 2,000 zeros: one matrix of the whole grid takes 160 MB
+    # 10^4 points x 2,000 zeros: one matrix of the whole grid takes 160 MB;
+    # one block of 2^22 cells takes 33.6 MB, and the truncations sum
+    # prefixes of its columns without a scaled or sliced copy
     tab = lf.ZeroTable(lf.ZETA, 14.0 + np.arange(2000.0))
     grid = waves.log_grid(10, 10**5, 10**4)
     tracemalloc.start()
     try:
-        series = waves.wave_series(tab, grid)
+        some, every = waves.wave_sums(tab, grid, [1000, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 10**6
+    assert peak < 40 * 10**6
     # blocks hold 2,097 rows here: rows on both sides of a block boundary
     # match the sum over the whole matrix
     rows = [0, 2096, 2097, 9999]
-    g = tab.ordinates
-    direct = 1.0 + 2.0 * np.sin(np.outer(np.log(grid[rows]), g)) @ (1.0 / g)
-    assert np.allclose(series.values[rows], direct, rtol=1e-12, atol=1e-12)
+    for series, g in ((some, tab.ordinates[:1000]), (every, tab.ordinates)):
+        direct = 1.0 + 2.0 * np.sin(np.outer(np.log(grid[rows]), g)) @ (1 / g)
+        assert np.allclose(series.values[rows], direct, rtol=1e-12,
+                           atol=1e-12)
 
 
 def test_wave_series_tracks_truth(zeta_table, primes_1e6):
@@ -128,7 +161,7 @@ def test_wave_series_tracks_truth(zeta_table, primes_1e6):
     li_vals = np.array([lf.li(float(x)) for x in grid])
     truth = waves.WaveSeries(0, grid,
                              (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
-    approx = waves.wave_series(zeta_table, grid)
+    approx, = waves.wave_sums(zeta_table, grid, [None])
     stats = waves.compare_series(truth, approx)
     assert stats.correlation > 0.5
 
@@ -287,8 +320,8 @@ def test_rms_improves_with_more_zeros_mod4(primes_1e6):
     pi_at = np.searchsorted(primes_1e6, np.floor(grid), side="right")
     truth = waves.WaveSeries(0, grid, (c3[pi_at - 1] - c1[pi_at - 1])
                              * np.log(grid) / np.sqrt(grid))
-    few = waves.compare_series(truth, waves.wave_series(table, grid, 10))
-    many = waves.compare_series(truth, waves.wave_series(table, grid, 40))
+    few, many = (waves.compare_series(truth, approx) for approx in
+                 waves.wave_sums(table, grid, [10, 40]))
     assert many.rms < few.rms
 
 
