@@ -32,6 +32,12 @@ TERMS_CAP = 1 << 15
 SCAN_STEP = 0.05
 MAX_HALVINGS = 6
 ZERO_PRECISION = 1e-9
+#: grid points per block of `_l_grid`, each block summing the terms of its
+#: own largest |t|; 64 rows of at most TERMS_CAP terms stay under 2^21 cells
+BLOCK_ROWS = 64
+#: CVZ orders are rounded up to a multiple of this, so that a zero search to
+#: T_MAX_CAP meets at most 30 of them and `_cvz_weights` holds them all
+ORDER_STEP = 16
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 
 
@@ -222,7 +228,7 @@ def psi_rh_inequality_check(x, psi_value=None):
 # ---------------------------------------------------------------------------
 # L-series on a grid of t
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def _cvz_weights(n):
     """Weights w_k = (d_n - d_k)/d_n, k = 0..n-1, for the accelerated
     alternating sum  S ~= sum (-1)^k w_k a_k.  Built in extended precision
@@ -240,12 +246,14 @@ def _cvz_weights(n):
 
 def _terms(lid, t):
     """Terms per evaluation point for |Im s| up to t: the CVZ order for a
-    tolerance of 1e-12, or ceil(|t|) + 16 complete periods of a quadratic
-    character.  CapacityError above TERMS_CAP, before anything is built."""
+    tolerance of 1e-12, rounded up to a multiple of ORDER_STEP, or
+    ceil(|t|) + 16 complete periods of a quadratic character.
+    CapacityError above TERMS_CAP, before anything is built."""
     t = abs(float(t))
     if lid.q is None:
         n = max(24, int(math.ceil(
             (0.5 * math.pi * t + math.log(1e12) + 6.0) / _LOG_CVZ)) + 8)
+        n = -(-n // ORDER_STEP) * ORDER_STEP
     else:
         n = lid.q * (math.ceil(t) + 16)
     if n > TERMS_CAP:
@@ -281,7 +289,7 @@ def _em_tail(chi, n, s):
     return -np.exp(-s * math.log(n)) * total
 
 
-def _l_grid(lid, sigma, ts, n):
+def _l_series(lid, sigma, ts, n):
     """L(s) at every s = sigma + i*t for t in the grid ts, from n terms.
 
     Zeta and beta4: the alternating sum_k (-1)^k w_k b_k^(-s) with CVZ
@@ -289,7 +297,8 @@ def _l_grid(lid, sigma, ts, n):
     zeta) or 1, 3, 5, ... (beta4).  The Legendre character mod q: the n =
     Jq integers of J complete periods summed directly, then the tail of
     `_em_tail` (each period sums to zero, so the block function decays one
-    power faster); skipped where n^(-sigma) is below 1e-304."""
+    power faster); skipped where n^(-sigma) is below 1e-304.  One
+    len(ts) x n phase matrix: `_l_grid` keeps it to BLOCK_ROWS rows."""
     ts = np.asarray(ts, dtype=float)
     if lid.q is None:
         step = 1 if lid == ZETA else 2
@@ -304,14 +313,25 @@ def _l_grid(lid, sigma, ts, n):
         m = np.flatnonzero(head)
         lb = np.log(m)
         coef = head[m] * np.exp(-sigma * lb)
-    out = np.empty(len(ts), dtype=complex)
-    chunk = max(1, (1 << 22) // len(lb))
-    for i in range(0, len(ts), chunk):
-        out[i:i + chunk] = np.exp(-1j * np.outer(ts[i:i + chunk], lb)) @ coef
+    out = np.exp(-1j * np.outer(ts, lb)) @ coef
     if lid == ZETA:
         out /= 1.0 - np.exp((1.0 - sigma - 1j * ts) * math.log(2.0))
     elif lid.q is not None and sigma * math.log(n) < 700:
         out += _em_tail(chi, n, sigma + 1j * ts)
+    return out
+
+
+def _l_grid(lid, sigma, ts):
+    """L(s) at every s = sigma + i*t for t in the grid ts, in blocks of
+    BLOCK_ROWS consecutive points.  Each block sums the terms `_terms` sets
+    for its own largest |t|, so low points do not pay for high ones
+    (CapacityError above TERMS_CAP)."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(len(ts), dtype=complex)
+    for i in range(0, len(ts), BLOCK_ROWS):
+        block = ts[i:i + BLOCK_ROWS]
+        out[i:i + BLOCK_ROWS] = _l_series(
+            lid, sigma, block, _terms(lid, np.abs(block).max()))
     return out
 
 
@@ -325,7 +345,7 @@ def evaluate_l(lid, s):
         raise DomainError("evaluation requires Re(s) > 0")
     if lid == ZETA and s == 1:
         raise DomainError("zeta has its pole at s = 1")
-    return complex(_l_grid(lid, s.real, [s.imag], _terms(lid, s.imag))[0])
+    return complex(_l_grid(lid, s.real, [s.imag])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +383,12 @@ def _theta(d, ts):
             + 0.5 * ts * math.log(abs(d) / math.pi))
 
 
-def _hardy_z_grid(lid, ts, n):
+def _hardy_z_grid(lid, ts):
     """Real rotated L-function along the critical line at the grid ts."""
-    return (np.exp(1j * _theta(lid.d, ts)) * _l_grid(lid, 0.5, ts, n)).real
+    return (np.exp(1j * _theta(lid.d, ts)) * _l_grid(lid, 0.5, ts)).real
 
 
-def _bisect_zeros(lid, brackets, n):
+def _bisect_zeros(lid, brackets):
     """Midpoints of the sign-change brackets (a, b, f(a)), each bisected to
     width <= ZERO_PRECISION.  All live brackets step together, one grid call
     over their midpoints per step; each follows the same midpoints as it
@@ -377,7 +397,7 @@ def _bisect_zeros(lid, brackets, n):
     live = np.flatnonzero(b - a > ZERO_PRECISION)
     while len(live):
         m = 0.5 * (a[live] + b[live])
-        fm = _hardy_z_grid(lid, m, n)
+        fm = _hardy_z_grid(lid, m)
         left = fa[live] * fm <= 0
         right = ~left
         b[live[left]] = m[left]
@@ -389,8 +409,10 @@ def _bisect_zeros(lid, brackets, n):
 def find_zeros(lid, t_max):
     """All ordinates gamma in (0, t_max] with L(1/2 + i*gamma) = 0, each
     certified by a sign change of the rotated real function and refined
-    by bisection to ZERO_PRECISION.  CapacityError above T_MAX_CAP, or
-    where t_max needs more than TERMS_CAP terms (for q = 163, above 185)."""
+    by bisection to ZERO_PRECISION.  Every block of points sums only the
+    terms of its own height (`_l_grid`).  CapacityError above T_MAX_CAP, or
+    where t_max needs more than TERMS_CAP terms (for q = 163, above 185),
+    before any point is evaluated."""
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
@@ -398,16 +420,17 @@ def find_zeros(lid, t_max):
                             % (t_max, T_MAX_CAP))
     if t_max <= 0:
         return ZeroTable(lid, np.empty(0))
-    n = _terms(lid, t_max)
+    _terms(lid, t_max)  # CapacityError before any grid is built
 
     def scan(spans, step, depth):
         """Sign-change brackets (a, b, f(a)) on the grids of this step over
         the spans (a, b), all evaluated in one grid call.  The top-level
-        grid gets t_max appended where its steps stop short of it."""
+        grid ends exactly at t_max: its steps are cut below t_max, which is
+        then appended, so no point asks for more terms than t_max does."""
         grids = [np.arange(a, b + step / 2, step) for a, b in spans]
-        if depth == 0 and grids[0][-1] < t_max:
-            grids[0] = np.append(grids[0], t_max)
-        values = _hardy_z_grid(lid, np.concatenate(grids), n)
+        if depth == 0:
+            grids[0] = np.append(grids[0][grids[0] < t_max], t_max)
+        values = _hardy_z_grid(lid, np.concatenate(grids))
         found, dips = [], []
         for ts in grids:
             zs, values = values[:len(ts)], values[len(ts):]
@@ -429,8 +452,8 @@ def find_zeros(lid, t_max):
     lo = min(SCAN_STEP, t_max / 8)
     brackets = scan([(lo, float(t_max))], SCAN_STEP, 0)
     # each zero has one bracket, so a repeat fails ZeroTable's ascending check
-    zeros = np.sort([round(z, 12) for z in _bisect_zeros(lid, brackets, n)])
-    # the top grid may step up to half a step past t_max
+    zeros = np.sort([round(z, 12) for z in _bisect_zeros(lid, brackets)])
+    # rounding to 12 decimals can lift a zero within 5e-13 of t_max past it
     return ZeroTable(lid, zeros[zeros <= t_max])
 
 

@@ -350,7 +350,7 @@ def test_error_decreases_in_terms():
     s = 0.5 + 25j
     ref = mp_zeta(s)
     # term counts chosen so truncation still dominates double rounding
-    errs = [abs(lf._l_grid(lf.ZETA, s.real, [s.imag], n)[0] - ref)
+    errs = [abs(lf._l_series(lf.ZETA, s.real, [s.imag], n)[0] - ref)
             for n in (24, 30, 36)]
     assert errs[2] < errs[1] < errs[0]
 
@@ -389,17 +389,72 @@ def test_zero_just_below_t_max_is_found():
     assert abs(mp_beta4(0.5 + 1j * float(tab.ordinates[-1]))) < 1e-8
 
 
-def test_zero_past_t_max_on_the_last_grid_step_is_dropped():
-    # 14.13 rounds the top grid up to 14.15, past zeta's first zero 14.1347
+def bracket_counts(monkeypatch):
+    """The number of brackets each later `_bisect_zeros` call gets."""
+    sizes = []
+    bisect = lf._bisect_zeros
+
+    def spy(lid, brackets):
+        sizes.append(len(brackets))
+        return bisect(lid, brackets)
+
+    monkeypatch.setattr(lf, "_bisect_zeros", spy)
+    return sizes
+
+
+def test_zero_past_t_max_on_the_last_grid_step_is_dropped(monkeypatch):
+    # the top grid ends at 14.13, short of zeta's first zero 14.1347, so
+    # that zero is never bracketed
+    sizes = bracket_counts(monkeypatch)
     assert len(lf.find_zeros(lf.ZETA, 14.13)) == 0
     assert len(lf.find_zeros(lf.ZETA, 14.14)) == 1
+    assert sizes == [0, 1]
+
+
+@pytest.mark.parametrize("t_max", [179.15, 180])
+def test_top_grid_ends_exactly_at_t_max(monkeypatch, t_max):
+    # np.arange steps to 179.15000000000003 and 180.00000000000003
+    grids = []
+    hardy = lf._hardy_z_grid
+
+    def spy(lid, ts):
+        grids.append(ts)
+        return hardy(lid, ts)
+
+    monkeypatch.setattr(lf, "_hardy_z_grid", spy)
+    lf.find_zeros(lf.ZETA, t_max)
+    assert grids[0][-1] == grids[0].max() == t_max
+
+
+@pytest.mark.parametrize("lid", [lf.BETA4, lf.quadratic(5)])
+def test_each_block_sums_the_terms_of_its_own_rows(monkeypatch, lid):
+    blocks = []
+    series = lf._l_series
+
+    def spy(lid, sigma, ts, n):
+        blocks.append((len(ts), n, lf._terms(lid, np.abs(ts).max())))
+        return series(lid, sigma, ts, n)
+
+    monkeypatch.setattr(lf, "_l_series", spy)
+    lf.find_zeros(lid, 60)
+    top = lf._terms(lid, 60)
+    assert all(rows <= lf.BLOCK_ROWS and need <= n <= top
+               for rows, n, need in blocks)
+    assert min(n for _, n, _ in blocks) < top
+
+
+@pytest.mark.parametrize("lid", [lf.ZETA, lf.BETA4, lf.quadratic(5)])
+def test_blocked_grid_matches_one_order(lid):
+    ts = np.linspace(0.05, 180, 1800)
+    one = lf._l_series(lid, 0.5, ts, lf._terms(lid, 180))
+    assert np.max(np.abs(lf._l_grid(lid, 0.5, ts) - one)) <= 1e-12
 
 
 def test_dip_rescan_finds_a_close_pair(monkeypatch):
     # the pair 10.012, 10.031 lies between the grid points 10.00 and 10.05,
     # where the sign does not change; only the rescan of the dip finds it
     roots = (3.3, 10.012, 10.031, 20.2)
-    monkeypatch.setattr(lf, "_hardy_z_grid", lambda lid, ts, n: (
+    monkeypatch.setattr(lf, "_hardy_z_grid", lambda lid, ts: (
         (ts - 10.012) * (ts - 10.031) * (ts - 3.3) * (ts - 20.2) / 100))
     tab = lf.find_zeros(lf.ZETA, 25)
     assert len(tab) == 4
@@ -407,14 +462,7 @@ def test_dip_rescan_finds_a_close_pair(monkeypatch):
 
 
 def test_each_zero_is_bracketed_once(monkeypatch):
-    sizes = []
-    bisect = lf._bisect_zeros
-
-    def spy(lid, brackets, n):
-        sizes.append(len(brackets))
-        return bisect(lid, brackets, n)
-
-    monkeypatch.setattr(lf, "_bisect_zeros", spy)
+    sizes = bracket_counts(monkeypatch)
     counts = [len(lf.find_zeros(lid, 180)) for lid in (lf.ZETA, lf.BETA4)]
     assert counts == sizes == [69, 107]
 
@@ -435,6 +483,17 @@ def test_cvz_weights_cached_read_only():
         with pytest.raises(ValueError):
             w[0] = 0.0
         assert np.array_equal(w, lf._cvz_weights.__wrapped__(n))
+
+
+def test_one_search_builds_each_cvz_order_once():
+    lf.find_zeros(lf.ZETA, 180)
+    misses = lf._cvz_weights.cache_info().misses
+    lf.find_zeros(lf.ZETA, 180)
+    assert lf._cvz_weights.cache_info().misses == misses
+    orders = {lf._terms(lf.ZETA, t) for t in np.arange(0, lf.T_MAX_CAP, 0.1)}
+    orders.add(lf._terms(lf.ZETA, lf.T_MAX_CAP))
+    assert {n % lf.ORDER_STEP for n in orders} == {0}
+    assert len(orders) <= lf._cvz_weights.cache_info().maxsize
 
 
 def test_zero_caps_and_unsupported():
