@@ -16,7 +16,7 @@ import numpy as np
 from . import sieve
 from .errors import CapacityError, DomainError
 from .lfunctions import li2
-from .races import RaceLedger, detect_lead_changes
+from .races import RaceLedger, _running_counts, detect_lead_changes
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,14 @@ def _pair_chunks(limit, gaps, scales):
     """Yield (xs, counts) per sieve segment: xs are the starts of any gap's
     pairs there, counts each gap's running pair count at those xs (carried
     across segments) times its scale."""
-    carry = np.zeros((len(gaps), 1), dtype=np.int64)
+    carry = np.zeros(len(gaps), dtype=np.int64)
     scales = np.array(scales, dtype=np.int64)[:, None]
     for lo, _, masks in sieve._pair_masks(limit, gaps):
         idx = np.flatnonzero(functools.reduce(np.logical_or, masks))
         if len(idx):
-            counts = np.cumsum([m[idx] for m in masks], axis=1,
-                               dtype=np.int64) + carry
-            carry = counts[:, [-1]]
-            yield lo + 2 * idx.astype(np.int64), counts * scales
+            counts = _running_counts([m[idx] for m in masks], carry)
+            counts *= scales
+            yield lo + 2 * idx.astype(np.int64, copy=False), counts
 
 
 def pair_race(gaps, limit, place="first"):

@@ -127,20 +127,31 @@ def _validate_teams(q, teams):
             seen.add(r)
 
 
+def _running_counts(hits, carry):
+    """A fresh (teams, n) int64 block of running counts: row i sums the
+    n-entry row hits[i] cumulatively from carry[i], one row at a time in
+    place.  ``carry`` (int64, one entry per team) advances to the last
+    column."""
+    out = np.empty((len(carry), len(hits[0])), dtype=np.int64)
+    for row, hit, c in zip(out, hits, carry.tolist()):
+        np.cumsum(hit, out=row)
+        row += c
+    carry[:] = out[:, -1]
+    return out
+
+
 def _race_chunks(limit, q, teams):
     """Yield (primes, counts) per sieve segment: each team's running count
     at each prime, carried across segments."""
-    team_of = np.full(q, len(teams), dtype=np.intp)  # len(teams) = no team
+    k = len(teams)
+    team_of = np.full(q, k, dtype=np.min_scalar_type(k))  # k = no team
     for i, t in enumerate(teams):
         team_of[list(t.residues)] = i
-    rows = np.arange(len(teams))[:, None]
-    carry = np.zeros((len(teams), 1), dtype=np.int64)
+    rows = np.arange(k, dtype=team_of.dtype)[:, None]
+    carry = np.zeros(k, dtype=np.int64)
     for primes in sieve.iter_prime_blocks(limit):
         if len(primes):
-            owner = team_of[primes % q]
-            counts = np.cumsum(owner == rows, axis=1, dtype=np.int64) + carry
-            carry = counts[:, [-1]]
-            yield primes, counts
+            yield primes, _running_counts(team_of[primes % q] == rows, carry)
 
 
 def run_dense_race(limit, q, teams):
@@ -163,13 +174,14 @@ def _states(mat, place="first"):
         raise DomainError("place must be 'first' or 'last'")
     past, bound = ((np.greater, np.maximum) if place == "first"
                    else (np.less, np.minimum))
-    edge = mat[0].copy()
+    edge = mat[0]
     state = np.zeros(mat.shape[1], dtype=np.int64)
     for i in range(1, mat.shape[0]):
         row = mat[i]
         np.putmask(state, row == edge, -1)
         np.putmask(state, past(row, edge), i)
-        bound(edge, row, out=edge)
+        if i + 1 < mat.shape[0]:  # two rows need no edge of their own
+            edge = bound(edge, row)
     return state
 
 

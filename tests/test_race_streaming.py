@@ -1,5 +1,5 @@
 """The streaming dense races against a frozen copy of the matrix code they
-replaced, their memory bound, and a far-out mod-4 lead era checked by an
+replaced, their memory bounds, and a far-out mod-4 lead era checked by an
 opt-in slow test (``PRIMERACES_SLOW=1``).
 
 The frozen functions below build the whole teams x primes matrix from one
@@ -189,6 +189,16 @@ def test_streaming_pair_race_matches_the_union_of_starts_ledger(
             np.array_equal(ledger.counts, mat), where
 
 
+@pytest.mark.parametrize("k", [255, 256])
+def test_team_numbers_past_one_byte(k):
+    # k one-class teams mod 257: the marker k of the classes in no team
+    # fits a byte for 255 teams, not for 256
+    teams = [races.TeamSpec(str(r), {r}) for r in range(1, k + 1)]
+    ledger = races.run_dense_race(100000, 257, teams)
+    xs, mat = old_dense_race(100000, 257, teams)
+    assert np.array_equal(ledger.xs, xs) and np.array_equal(ledger.counts, mat)
+
+
 def test_states_match_the_argmax_reduction():
     # small increments keep many columns tied at the edge, and between
     # rows that are not neighbours
@@ -210,7 +220,8 @@ def test_states_match_the_argmax_reduction():
 
 def test_dense_race_memory_is_one_segment_not_the_matrix():
     # the teams x primes matrix at 10^7 alone is 10.6 MB of counts plus
-    # 5.3 MB of primes; the matrix code peaked at 47 MiB, the stream at 12
+    # 5.3 MB of primes; the matrix code peaked at 47 MiB, the stream at
+    # 12.5, and at 10.5 with each block built in place
     tracemalloc.start()
     try:
         ledger = races.run_dense_race(10**7, 4, TEAMS4)
@@ -221,7 +232,21 @@ def test_dense_race_memory_is_one_segment_not_the_matrix():
     finally:
         tracemalloc.stop()
     assert len(events) > 0
-    assert peak < 24 * 2**20, peak / 2**20
+    assert peak < 12 * 2**20, peak / 2**20
+
+
+def test_pair_race_memory_is_one_segment_of_masks():
+    # five masks of a segment, the union's starts and one block of scaled
+    # counts: 19.7 MiB when each block was copied on its way out, 15.3
+    # with each built in place
+    tracemalloc.start()
+    try:
+        _, events = pairs.pair_race([2, 4, 6, 8, 10], 2 * 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 0
+    assert peak < 17 * 2**20, peak / 2**20
 
 
 def test_ledger_past_1e9_refuses_to_hold_its_samples_before_sieving():

@@ -244,6 +244,39 @@ def test_mark_segment_matches_small_primes():
         assert got.tolist() == [lo + 2 * i in ref for i in range(n)], (lo, n)
 
 
+def test_mark_segment_keeps_the_wheel_primes():
+    # segments starting on, between and just past 3, 5, 7, 11 and 13
+    base = sieve.small_primes(20)[1:]
+    ref = set(sieve.small_primes(120).tolist())
+    for lo in range(3, 32, 2):
+        for n in range(1, 41):
+            got = sieve._mark_segment(lo, n, base)
+            assert got.tolist() == [lo + 2 * i in ref for i in range(n)], \
+                (lo, n)
+
+
+@pytest.mark.parametrize("lo", [sieve.HARD_CAP - 4001, 2**31 - 301])
+def test_mark_segment_far_out(lo):
+    n = 150
+    base = sieve.small_primes(math.isqrt(lo + 2 * (n - 1)))[1:]
+    got = sieve._mark_segment(lo, n, base)
+    assert got.tolist() == [sieve.is_prime(lo + 2 * i) for i in range(n)]
+
+
+def test_default_segments_cross_wheel_periods():
+    # three segments of the default size, the later two starting in the
+    # middle of a 15,015-entry wheel period, the last one short
+    extra = 210
+    limit = 4 * sieve.SEGMENT_ENTRIES + 3 * 30030 + 1
+    ref = np.zeros(limit + extra + 1, dtype=bool)
+    ref[sieve.small_primes(limit + extra)] = True
+    los = []
+    for lo, n, seg in sieve._segments(limit, extra):
+        assert np.array_equal(seg, ref[lo:lo + 2 * len(seg):2]), lo
+        los.append(lo)
+    assert [(lo - 1) // 2 % 15015 for lo in los] == [1, 12542, 10068]
+
+
 def test_segments_match_small_primes(segment_entries):
     # every segment, the short last one and the run past the limit included
     rng = random.Random(20261019)
