@@ -2,15 +2,13 @@
 L evaluation on the half-plane sigma > 0, critical-line zero finding, and
 zero-table file I/O.
 
-Zeta is evaluated through the alternating (eta) series continuation
-zeta(s) = (1 - 2^(1-s))^-1 * [1/1^s - 1/2^s + 1/3^s - ...], accelerated by
-the Chebyshev-coefficient scheme of Cohen, Rodriguez Villegas and Zagier:
-with n terms the truncation error decays like (3+sqrt(8))^-n times a factor
-growing like e^(pi*|t|/2), so the term count is chosen from |Im s|.  The
-mod-4 beta function uses the same weights on its own alternating series.
-Real quadratic characters are summed in complete periods (blocks of q whose
-character sum vanishes) with an Euler-Maclaurin tail on the smooth block
-function.  Both run on a grid of t, and the zero search serves all three.
+Every L-function here is L(s, chi) = sum chi(k) k^-s for a real character
+chi of period q: zeta is chi = (1), beta4 is chi = (1, 0, -1, 0), and
+`quadratic:q` is the Legendre symbol mod q.  One evaluator serves them all
+(Edwards, "Riemann's Zeta Function", 1974, ch. 6, applied class by class):
+the first n = q (ceil(|t|/pi) + 8) terms summed directly, and for each class
+r mod q an Euler-Maclaurin tail with 20 Bernoulli terms.  It runs on a grid
+of t, and the zero search serves every id.
 """
 
 import functools
@@ -23,8 +21,7 @@ from . import sieve
 from .errors import CapacityError, DomainError, ParseError
 
 T_MAX_CAP = 500.0
-#: terms summed per evaluation point: the CVZ order for zeta and beta4,
-#: complete periods times q for a quadratic character
+#: integers summed per evaluation point before the Euler-Maclaurin tail
 TERMS_CAP = 1 << 15
 #: zero search: scan step along the critical line, how often a dip toward
 #: zero without a sign change is rescanned at half the step, and the
@@ -35,16 +32,13 @@ ZERO_PRECISION = 1e-9
 #: grid points per block of `_l_grid`, each block summing the terms of its
 #: own largest |t|; 64 rows of at most TERMS_CAP terms stay under 2^21 cells
 BLOCK_ROWS = 64
-#: CVZ orders are rounded up to a multiple of this, so that a zero search to
-#: T_MAX_CAP meets at most 30 of them and `_cvz_weights` holds them all
-ORDER_STEP = 16
-_LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 
 
 @dataclass(frozen=True)
 class LFunctionId:
-    """Which L-function: riemann zeta, the mod-4 beta, or a real quadratic
-    character modulo an odd prime q <= TERMS_CAP (checked first)."""
+    """Which L-function: riemann zeta, the mod-4 beta, or the Legendre
+    symbol modulo an odd prime q <= TERMS_CAP (checked first); each is the
+    L-series of one real character, `_character`."""
 
     kind: str
     q: int | None = None
@@ -229,94 +223,95 @@ def psi_rh_inequality_check(x, psi_value=None):
 # L-series on a grid of t
 
 @functools.lru_cache(maxsize=32)
-def _cvz_weights(n):
-    """Weights w_k = (d_n - d_k)/d_n, k = 0..n-1, for the accelerated
-    alternating sum  S ~= sum (-1)^k w_k a_k.  Built in extended precision
-    because d_n grows like (3+sqrt 8)^n.  Cached per order, so the array is
-    read-only: every caller shares it."""
-    t = np.empty(n + 1, dtype=np.longdouble)
-    t[0] = 1.0 / n
-    for i in range(n):
-        t[i + 1] = t[i] * 4.0 * (n + i) * (n - i) / ((2 * i + 1) * (2 * i + 2))
-    d = np.cumsum(t) * n
-    w = ((d[n] - d[:n]) / d[n]).astype(np.float64)
-    w.flags.writeable = False
-    return w
+def _character(lid):
+    """chi(1), ..., chi(q) over one period q = |d| of the id's character:
+    (1) for zeta, (1, 0, -1, 0) for beta4, the Legendre symbol mod q.
+    Cached per id, so the array is read-only: every caller shares it."""
+    if lid == ZETA:
+        chi = np.ones(1)
+    elif lid == BETA4:
+        chi = np.array([1.0, 0.0, -1.0, 0.0])
+    else:
+        chi = np.full(lid.q, -1.0)
+        chi[-1] = 0.0
+        chi[np.arange(1, lid.q) ** 2 % lid.q - 1] = 1.0
+    chi.flags.writeable = False
+    return chi
 
 
 def _terms(lid, t):
-    """Terms per evaluation point for |Im s| up to t: the CVZ order for a
-    tolerance of 1e-12, rounded up to a multiple of ORDER_STEP, or
-    ceil(|t|) + 16 complete periods of a quadratic character.
-    CapacityError above TERMS_CAP, before anything is built."""
+    """Integers summed per evaluation point for |Im s| up to t: |d| times
+    ceil(|t|/pi) + 8 complete periods, so that the tail's Euler-Maclaurin
+    terms shrink about fourfold each.  CapacityError above TERMS_CAP,
+    before anything is built."""
     t = abs(float(t))
-    if lid.q is None:
-        n = max(24, int(math.ceil(
-            (0.5 * math.pi * t + math.log(1e12) + 6.0) / _LOG_CVZ)) + 8)
-        n = -(-n // ORDER_STEP) * ORDER_STEP
-    else:
-        n = lid.q * (math.ceil(t) + 16)
+    n = abs(lid.d) * (math.ceil(t / math.pi) + 8)
     if n > TERMS_CAP:
         raise CapacityError("%s at |t| = %g needs %d terms, above the cap %d"
                             % (lid, t, n, TERMS_CAP))
     return n
 
 
-#: B_2m / (2m)! for m = 1..7, the Euler-Maclaurin weights
-_EM = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
-       -691 / 1307674368000, 1 / 74724249600)
+def _bernoulli_weights(count):
+    """B_2k / (2k)! for k = 1..count, from the recurrence for the Taylor
+    coefficients b_j = B_j / j! of x / (e^x - 1): the product with
+    (e^x - 1)/x is 1, so b_j = -sum_(i=1..j) b_(j-i) / (i + 1)!."""
+    b = [1.0]
+    for j in range(1, 2 * count + 1):
+        b.append(-sum(b[j - i] / math.factorial(i + 1)
+                      for i in range(1, j + 1)))
+    return np.array(b[2::2])
+
+
+#: the Euler-Maclaurin weights B_2k / (2k)!, k = 1..20, within 2e-14 of
+#: the exact values, and the powers 0, 1, 3, ..., 39 of q/(n + r) they take
+_EM = _bernoulli_weights(20)
+_POWERS = np.r_[0, np.arange(1, 2 * len(_EM), 2)]
+#: a_j = 2j - 1/2 for j = 1..19: (s + a_j)^2 - 1/4 = (s + 2j - 1)(s + 2j),
+#: so (s)_(2k-1) is s times the product of the first k - 1 of them
+_HALVES = np.arange(1.5, 2 * len(_EM) - 2, 2)
 
 
 def _em_tail(chi, n, s):
-    """Sum over x >= J of f(x) = sum_r chi(r) (xq + r)^(-s), for chi of
-    period q summing to zero and n = Jq, by Euler-Maclaurin with 7 Bernoulli
-    terms: f^(k)(J) = (-1)^k (s)_k q^k sum_r chi(r) u_r^(-s-k), u_r = n + r.
-    Each such sum is -n^(-s-k) (s + k) g(s + k), where g(w) = sum_r chi(r)
-    (1 - (u_r/n)^(-w)) / w is summed as 32 terms of its power series in w,
-    whose ratio |w| ln(u_r/n) < |w|/J stays near 1 for |Im s| <= J - 16;
-    so the integral term, -n^(1-s) g(s - 1) / q, has no pole at s = 1."""
-    J = n // len(chi)
-    lr = np.log1p(np.arange(len(chi)) / n)
-    w = s + np.arange(-1.0, 14.0)[:, None]  # row k + 1 of g is g(s + k)
-    g = 0.0
-    for j in range(32, 0, -1):
-        g = g * -w + chi @ lr ** j / math.factorial(j)
-    total = J * g[0] + s * g[1] / 2
-    rising = 1.0
-    for i, b in enumerate(_EM):
-        rising = rising * (s + 2 * i) * (s + 2 * i + 1)  # (s)_(2i+2)
-        total += b * rising * J ** (-1.0 - 2 * i) * g[2 * i + 2]
-    return -np.exp(-s * math.log(n)) * total
+    """Sum over k > n of chi(k) k^(-s) at the array s, for chi(1..q) of
+    period q dividing n.  Each class r with chi(r) != 0 is summed by
+    Euler-Maclaurin with len(_EM) Bernoulli terms on h(x) = (xq + r)^(-s)
+    from x = n/q: h there is (n + r)^(-s) = n^(-s) e^(-s lr), lr =
+    ln(1 + r/n), and -h^(2k-1) is (s)_(2k-1) (q/(n + r))^(2k-1) times h.
+    The integral of h is n^(1-s) e^((1-s) lr) / (q (s - 1)); its sum over
+    the classes is taken through expm1, since chi sums to zero over a period
+    for every character but zeta's, which alone keeps the pole 1/(s - 1)."""
+    q = len(chi)
+    r = np.flatnonzero(chi) + 1
+    c = chi[r - 1]
+    lr = np.log1p(r / n)
+    u = 1.0 - s
+    # sum_r chi(r) expm1(u lr) / (s - 1) tends to -sum_r chi(r) lr at s = 1
+    integral = np.divide(np.expm1(np.outer(u, lr)) @ c, -u,
+                         out=np.full(len(u), -(c @ lr), dtype=complex),
+                         where=u != 0)
+    if q == 1:
+        integral += 1.0 / (s - 1.0)
+    h = np.exp(-np.outer(s, lr)) @ (c * (q / (n + r)) ** _POWERS[:, None]).T
+    rising = np.cumprod((s[:, None] + _HALVES) ** 2 - 0.25, axis=1)
+    em = s * (_EM[0] * h[:, 1] + (rising * h[:, 2:]) @ _EM[1:])
+    total = n / q * integral + h[:, 0] / 2 + em
+    return np.exp(-s * math.log(n)) * total
 
 
 def _l_series(lid, sigma, ts, n):
-    """L(s) at every s = sigma + i*t for t in the grid ts, from n terms.
-
-    Zeta and beta4: the alternating sum_k (-1)^k w_k b_k^(-s) with CVZ
-    weights over the bases b = 1, 2, 3, ... (divided by 1 - 2^(1-s) for
-    zeta) or 1, 3, 5, ... (beta4).  The Legendre character mod q: the n =
-    Jq integers of J complete periods summed directly, then the tail of
-    `_em_tail` (each period sums to zero, so the block function decays one
-    power faster); skipped where n^(-sigma) is below 1e-304.  One
-    len(ts) x n phase matrix: `_l_grid` keeps it to BLOCK_ROWS rows."""
+    """L(s) at every s = sigma + i*t for t in the grid ts: the first n
+    terms chi(k) k^(-s), n a multiple of the character's period, summed
+    directly, then the tail of `_em_tail`, skipped where n^(-sigma) is
+    below 1e-304.  One len(ts) x n phase matrix: `_l_grid` keeps it to
+    BLOCK_ROWS rows."""
     ts = np.asarray(ts, dtype=float)
-    if lid.q is None:
-        step = 1 if lid == ZETA else 2
-        lb = np.log(np.arange(1, step * n + 1, step, dtype=float))
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        coef = _cvz_weights(n) * signs * np.exp(-sigma * lb)
-    else:
-        chi = np.full(lid.q, -1.0)
-        chi[0] = 0.0
-        chi[np.arange(1, lid.q) ** 2 % lid.q] = 1.0
-        head = np.tile(chi, n // lid.q)
-        m = np.flatnonzero(head)
-        lb = np.log(m)
-        coef = head[m] * np.exp(-sigma * lb)
-    out = np.exp(-1j * np.outer(ts, lb)) @ coef
-    if lid == ZETA:
-        out /= 1.0 - np.exp((1.0 - sigma - 1j * ts) * math.log(2.0))
-    elif lid.q is not None and sigma * math.log(n) < 700:
+    chi = _character(lid)
+    head = np.tile(chi, n // len(chi))
+    m = np.flatnonzero(head)
+    lb = np.log(m + 1.0)
+    out = np.exp(np.outer(ts, -1j * lb)) @ (head[m] * np.exp(-sigma * lb))
+    if sigma * math.log(n) < 700:
         out += _em_tail(chi, n, sigma + 1j * ts)
     return out
 
@@ -336,8 +331,9 @@ def _l_grid(lid, sigma, ts):
 
 
 def evaluate_l(lid, s):
-    """Evaluate the identified L-function at s with Re(s) > 0, from the
-    term count `_terms` sets for Im s (CapacityError above TERMS_CAP)."""
+    """Evaluate the identified L-function at s with Re(s) > 0: the terms
+    `_terms` sets for Im s summed directly, plus the Euler-Maclaurin tail
+    (CapacityError above TERMS_CAP; DomainError at zeta's pole)."""
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError("s must be finite")
@@ -411,8 +407,8 @@ def find_zeros(lid, t_max):
     certified by a sign change of the rotated real function and refined
     by bisection to ZERO_PRECISION.  Every block of points sums only the
     terms of its own height (`_l_grid`).  CapacityError above T_MAX_CAP, or
-    where t_max needs more than TERMS_CAP terms (for q = 163, above 185),
-    before any point is evaluated."""
+    where t_max needs more than TERMS_CAP terms (first for q = 409, above
+    72 pi), before any point is evaluated."""
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
