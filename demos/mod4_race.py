@@ -44,8 +44,8 @@ strict = races.leader_density(ledger, races.strictly_ahead(0),
 not_behind = races.leader_density(ledger, lambda m: m[0] >= m[1],
                                   10**7, "logarithmic")
 print("\nlogarithmic measure up to 10^7:")
-print("  team 3 strictly ahead: %.4f" % strict.value)
-print("  team 3 never behind:   %.4f" % not_behind.value)
+print("  team 3 strictly ahead: %.4f" % strict)
+print("  team 3 never behind:   %.4f" % not_behind)
 
 print("\nnatural share of x with team 1 strictly ahead, per range:")
 flags = races.strictly_ahead(1)(ledger.counts)

@@ -40,7 +40,7 @@ pi_x = sieve.count_primes(10**6)
 table = sieve.count_in_progressions(10**6, 8, [10**6])
 for a in (1, 3, 5, 7):
     e = races.error_term(10**6, 8, a, pi_x, int(table.column(a)[0]))
-    print("  class %d: %+.3f" % (a, e.value))
+    print("  class %d: %+.3f" % (a, e))
 
 print("\na dense squares-vs-nonsquares race mod 7:")
 s, n = races.squares_mod(7)

@@ -6,18 +6,19 @@ to the origin with probability one; in three or more they escape.  The
 model predicts infinitely many all-way ties for two and three teams only.
 """
 
+import numpy as np
+
 from primeraces import races
 
 for teams in (2, 3, 4, 5):
-    cfg = races.WalkConfig(teams=teams, steps=10**5, trials=200, seed=7)
-    trials = races.simulate_tie_walk(cfg)
-    frac = races.return_fraction(trials)
-    returned = [t.first_return_step for t in trials if t.returned_to_origin]
-    mean_step = sum(returned) / len(returned) if returned else float("nan")
+    # first return step per trial, 0 where the walk never came back
+    first = races.simulate_tie_walk(teams, steps=10**5, trials=200, seed=7)
+    returned = first[first > 0]
+    mean_step = returned.mean() if len(returned) else float("nan")
     print("%d teams (walk dim %d): returned %5.1f%%  "
           "mean first return step %.0f"
-          % (teams, teams - 1, 100 * frac, mean_step))
+          % (teams, teams - 1, 100 * len(returned) / len(first), mean_step))
 
 print("\nsame seed, same walk, bit for bit:")
-cfg = races.WalkConfig(teams=3, steps=1000, trials=3, seed=42)
-print(" ", races.simulate_tie_walk(cfg) == races.simulate_tie_walk(cfg))
+print(" ", np.array_equal(races.simulate_tie_walk(3, 1000, 3, 42),
+                          races.simulate_tie_walk(3, 1000, 3, 42)))

@@ -12,13 +12,12 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          quadratic, riemann_overcount, riemann_prediction)
 from .pairs import (HLConstants, compute_c2, hl_prediction,
                     normalized_count, pair_race, singular_factor, twin_table)
-from .races import (DensityEstimate, ErrorSample, Histogram, LeadChangeEvent,
-                    RaceLedger, TeamSpec, WalkConfig, WalkTrial,
+from .races import (Histogram, LeadChangeEvent, RaceLedger, TeamSpec,
                     build_histogram, detect_lead_changes, error_term,
                     euler_phi, lead_windows, leader_density,
-                    littlewood_bound, return_fraction,
-                    run_dense_race, shanks_ratio, simulate_tie_walk,
-                    splitmix64, squares_mod, strictly_ahead)
+                    littlewood_bound, run_dense_race, shanks_ratio,
+                    simulate_tie_walk, splitmix64, squares_mod,
+                    strictly_ahead)
 from .sieve import (ResidueCounts, checkpoint_load, count_in_progressions,
                     count_pairs_by_gap, count_primes, iter_prime_blocks,
                     primes_up_to)

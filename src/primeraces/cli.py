@@ -203,7 +203,7 @@ def cmd_race(args):
     if args.density and (args.format == "json" or events is None):
         kind = "logarithmic" if args.density == "log" else "natural"
         d = races.leader_density(ledger, races.strictly_ahead(0), limit, kind)
-        obj["density"] = {"X": d.X, "kind": d.kind, "value": d.value}
+        obj["density"] = {"X": limit, "kind": kind, "value": d}
     if events is not None:
         return _events(events, args.format, obj)
     return _json(obj if args.format == "json" else obj["density"])
@@ -322,17 +322,17 @@ def cmd_histogram(args):
 
 
 def cmd_walk(args):
-    cfg = races.WalkConfig(args.teams, _check_count(args.steps, "--steps"),
-                           _check_count(args.trials, "--trials"), args.seed)
-    trials = races.simulate_tie_walk(cfg)
-    returned = [t for t in trials if t.returned_to_origin]
+    first = races.simulate_tie_walk(
+        args.teams, _check_count(args.steps, "--steps"),
+        _check_count(args.trials, "--trials"), args.seed)
+    returned = int(np.count_nonzero(first))
     return _json({
         "teams": args.teams, "steps": args.steps, "trials": args.trials,
         "seed": args.seed,
-        "returned": len(returned),
-        "return_fraction": races.return_fraction(trials),
-        "mean_first_return": (sum(t.first_return_step for t in returned)
-                              / len(returned)) if returned else None,
+        "returned": returned,
+        "return_fraction": returned / args.trials,
+        "mean_first_return": (int(first.sum()) / returned
+                              if returned else None),
     })
 
 

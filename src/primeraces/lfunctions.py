@@ -84,8 +84,10 @@ class ZeroTable:
     def __post_init__(self):
         ords = np.asarray(self.ordinates, dtype=float)
         object.__setattr__(self, "ordinates", ords)
-        if len(ords) and (ords[0] <= 0 or np.any(np.diff(ords) <= 0)):
-            raise DomainError("ordinates must be positive, strictly ascending")
+        if len(ords) and not (np.all(np.isfinite(ords)) and ords[0] > 0
+                              and np.all(np.diff(ords) > 0)):
+            raise DomainError("ordinates must be finite, positive, strictly "
+                              "ascending")
 
     def __len__(self):
         return len(self.ordinates)
@@ -495,8 +497,9 @@ def parse_zero_table(path, lid=None):
                 g = float(line)
             except ValueError:
                 raise ParseError("bad ordinate %r" % line, lineno)
-            if g <= 0:
-                raise ParseError("ordinate must be positive", lineno)
+            if not 0 < g < math.inf:
+                raise ParseError("ordinate must be finite and positive",
+                                 lineno)
             if ordinates and g <= ordinates[-1]:
                 raise ParseError("ordinates not strictly ascending", lineno)
             ordinates.append(g)

@@ -39,47 +39,12 @@ class LeadChangeEvent:
 
 
 @dataclass(frozen=True)
-class ErrorSample:
-    x: int
-    q: int
-    a: int
-    value: float
-
-
-@dataclass(frozen=True)
 class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
     underflow: int
     overflow: int
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    X: int
-    kind: str
-    value: float
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    teams: int
-    steps: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.teams < 2:
-            raise DomainError("need at least two teams (walk dimension >= 1)")
-        if self.steps < 0 or self.trials < 1:
-            raise DomainError("steps must be >= 0 and trials >= 1")
-
-
-@dataclass(frozen=True)
-class WalkTrial:
-    returned_to_origin: bool
-    first_return_step: int | None
 
 
 class RaceLedger:
@@ -261,13 +226,12 @@ def euler_phi(q):
 
 def error_term(x, q, a, pi_x, pi_x_q_a):
     """Deviation of pi(x;q,a) from the equidistributed share pi(x)/phi(q),
-    normalized by sqrt(x)/ln(x)."""
+    normalized by sqrt(x)/ln(x), as a float."""
     if x < 3:
         raise DomainError("error term needs x >= 3")
     if math.gcd(a, q) != 1:
         raise DomainError("residue %d not coprime to %d" % (a, q))
-    value = (pi_x_q_a - pi_x / euler_phi(q)) * math.log(x) / math.sqrt(x)
-    return ErrorSample(int(x), int(q), int(a), value)
+    return (pi_x_q_a - pi_x / euler_phi(q)) * math.log(x) / math.sqrt(x)
 
 
 def shanks_ratio(x, count_a, count_b):
@@ -281,12 +245,15 @@ def shanks_ratio(x, count_a, count_b):
 
 def build_histogram(samples, bins, lo, hi):
     """Uniform histogram, bins closed on the left, last bin closed on both
-    sides; samples outside [lo, hi] land in underflow/overflow tallies."""
+    sides; samples outside [lo, hi] (+-inf too) land in underflow/overflow
+    tallies, and a NaN sample is refused."""
     if bins < 1:
         raise DomainError("need at least one bin")
     if not lo < hi:
         raise DomainError("histogram range must satisfy lo < hi")
     s = np.asarray(list(samples), dtype=float)
+    if np.isnan(s).any():
+        raise DomainError("histogram samples must not be NaN")
     under = int(np.count_nonzero(s < lo))
     over = int(np.count_nonzero(s > hi))
     inside = s[(s >= lo) & (s <= hi)]
@@ -316,7 +283,8 @@ def _digamma(n):
 
 
 def leader_density(ledger, condition, X, kind):
-    """Density of {2 <= x <= X : condition} under the chosen measure.
+    """Density of {2 <= x <= X : condition} under the chosen measure, as a
+    float.
 
     ``condition`` maps a (teams x samples) block of counts to a boolean
     per-sample array; between samples the counts (hence the predicate) are
@@ -341,10 +309,8 @@ def leader_density(ledger, condition, X, kind):
     starts, ends = _runs(_changes(ledger, flags, X), True, X)
     if kind == "logarithmic":
         mass = np.sum(_digamma(ends + 1.0) - _digamma(starts * 1.0))
-        value = float(mass / math.log(X))
-    else:
-        value = float(np.sum(ends - starts + 1) / X)
-    return DensityEstimate(int(X), kind, value)
+        return float(mass / math.log(X))
+    return float(np.sum(ends - starts + 1) / X)
 
 
 def strictly_ahead(team_index):
@@ -434,27 +400,26 @@ def _first_returns(seeds, k, rounds, out):
         done, m = done + m, 2 * m
 
 
-def simulate_tie_walk(config):
-    """Run the tie-model walk: per step one of k vectors, chosen uniformly,
-    is added to the (k-1)-dimensional count-difference vector; record
-    whether and when each trial first returns to the origin.
+def simulate_tie_walk(teams, steps, trials, seed):
+    """Run the tie-model walk: per step one of k = ``teams`` vectors, chosen
+    uniformly, is added to the (k-1)-dimensional count-difference vector.
+    Returns an int64 array of each trial's first return step to the
+    origin, 0 where it does not return within ``steps``.
 
     Trial t draws its steps from the SplitMix64 stream seeded by output t
-    of ``config.seed``'s stream.  Each trial stops at its first return, so
-    the cost is O(trials x steps) whatever k; with k > steps no trial can
+    of ``seed``'s stream.  Each trial stops at its first return, so the
+    cost is O(trials x steps) whatever k; with k > steps no trial can
     return and nothing is drawn."""
-    k, rounds = config.teams, config.steps // config.teams
-    first = np.zeros(config.trials, dtype=np.int64)
+    if teams < 2:
+        raise DomainError("need at least two teams (walk dimension >= 1)")
+    if steps < 0 or trials < 1:
+        raise DomainError("steps must be >= 0 and trials >= 1")
+    rounds = steps // teams
+    first = np.zeros(trials, dtype=np.int64)
     if rounds:
-        seeds = splitmix64(config.seed, 0, config.trials)
-        group = max(1, _WALK_CELLS // k)
-        for lo in range(0, config.trials, group):
-            _first_returns(seeds[lo:lo + group], k, rounds,
+        seeds = splitmix64(seed, 0, trials)
+        group = max(1, _WALK_CELLS // teams)
+        for lo in range(0, trials, group):
+            _first_returns(seeds[lo:lo + group], teams, rounds,
                            first[lo:lo + group])
-    return [WalkTrial(True, f) if f else WalkTrial(False, None)
-            for f in first.tolist()]
-
-
-def return_fraction(trials):
-    trials = list(trials)
-    return sum(t.returned_to_origin for t in trials) / len(trials)
+    return first

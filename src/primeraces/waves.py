@@ -46,8 +46,8 @@ class HypotheticalZero:
     def __post_init__(self):
         if not (0.5 < self.sigma < 1.0):
             raise DomainError("sigma must lie strictly between 1/2 and 1")
-        if self.gamma < 0:
-            raise DomainError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError("gamma must be finite and >= 0")
 
 
 @dataclass(frozen=True)

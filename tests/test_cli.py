@@ -632,6 +632,37 @@ def test_malformed_zeros_file_is_parse_error(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "line 3:" in err
 
 
+@pytest.mark.parametrize("ordinate", ["nan", "inf", "1e400"])
+def test_non_finite_ordinate_is_parse_error(ordinate, tmp_path, capsys):
+    # read as a zero, it would turn every approx column into NaN and the
+    # stats file into invalid JSON
+    zeros = tmp_path / "bad.zeros"
+    zeros.write_text("# lfunction=zeta\n14.134725142\n%s\n" % ordinate)
+    out, stats = tmp_path / "out.csv", tmp_path / "stats.json"
+    code, stdout, err = run_cli(capsys, "explicit", "--zeros", str(zeros),
+                                *EXPLICIT[3:], "--out", str(out),
+                                "--stats-out", str(stats))
+    assert code == 4
+    assert stdout == "" and err.startswith("error: ") and "line 3:" in err
+    assert not out.exists() and not stats.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--teams", "1", "--steps", "10", "--trials", "5"],
+     "need at least two teams (walk dimension >= 1)"),
+    (["--teams", "-2", "--steps", "10", "--trials", "5"],
+     "need at least two teams (walk dimension >= 1)"),
+    (["--teams", "3", "--steps", "-1", "--trials", "5"],
+     "steps must be >= 0 and trials >= 1"),
+    (["--teams", "3", "--steps", "10", "--trials", "0"],
+     "steps must be >= 0 and trials >= 1"),
+])
+def test_walk_domain_errors(argv, message, capsys):
+    code, out, err = run_cli(capsys, "walk", *argv)
+    assert code == 2
+    assert out == "" and err == "error: %s\n" % message
+
+
 def test_out_into_missing_directory_is_io_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "pi", "--limit", "100", "--out",
                              str(tmp_path / "no" / "such" / "pi.csv"))

@@ -582,6 +582,23 @@ def test_zero_table_negative_entry(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("ordinate", ["nan", "inf", "1e400", "-inf"])
+def test_zero_table_non_finite_entry(ordinate, tmp_path):
+    path = tmp_path / "z.zeros"
+    path.write_text("14.1\n%s\n" % ordinate)
+    with pytest.raises(ParseError) as err:
+        lf.parse_zero_table(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("ordinates", [[14.1, math.nan], [math.nan, 14.1],
+                                       [14.1, math.inf], [math.inf],
+                                       [14.1, math.inf, math.inf]])
+def test_zero_table_refuses_non_finite_ordinates(ordinates):
+    with pytest.raises(DomainError, match="finite"):
+        lf.ZeroTable(lf.ZETA, np.array(ordinates))
+
+
 def test_zero_table_descending(tmp_path):
     path = tmp_path / "z.zeros"
     path.write_text("21.0\n14.1\n")

@@ -159,9 +159,9 @@ def test_streaming_race_matches_the_matrix_code(segment_entries):
                 old_windows(xs, mat, limit, idx), where
         for make in CONDITIONS:
             cond = make(len(teams))
-            nat = races.leader_density(ledger, cond, X, "natural").value
+            nat = races.leader_density(ledger, cond, X, "natural")
             assert nat == old_density(xs, mat, cond, X, "natural"), where
-            log = races.leader_density(ledger, cond, X, "logarithmic").value
+            log = races.leader_density(ledger, cond, X, "logarithmic")
             want = old_density(xs, mat, cond, X, "logarithmic")
             assert log == pytest.approx(want, rel=1e-12, abs=1e-300), where
         assert np.array_equal(ledger.xs, xs) and \

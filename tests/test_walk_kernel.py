@@ -23,25 +23,22 @@ def old_trial_seed(seed, trial):
     return int(races.splitmix64(seed, trial, 1)[0])
 
 
-def old_tie_walk(config):
-    k = config.teams
+def old_tie_walk(k, steps, trials, seed):
+    """First return step of each trial, 0 where it does not return."""
     out = []
-    for trial in range(config.trials):
-        if config.steps == 0:
-            out.append(races.WalkTrial(False, None))
+    for trial in range(trials):
+        if steps == 0:
+            out.append(0)
             continue
-        choices = races.splitmix64(old_trial_seed(config.seed, trial), 0,
-                                   config.steps) % np.uint64(k)
+        choices = races.splitmix64(old_trial_seed(seed, trial), 0,
+                                   steps) % np.uint64(k)
         choices = choices.astype(np.min_scalar_type(k - 1))
-        at_origin = np.ones(config.steps, dtype=bool)
+        at_origin = np.ones(steps, dtype=bool)
         for d in range(k - 1):
             delta = (choices == d).astype(np.int32) - (choices == d + 1)
             at_origin &= np.cumsum(delta) == 0
         hits = np.flatnonzero(at_origin)
-        if len(hits):
-            out.append(races.WalkTrial(True, int(hits[0]) + 1))
-        else:
-            out.append(races.WalkTrial(False, None))
+        out.append(int(hits[0]) + 1 if len(hits) else 0)
     return out
 
 
@@ -62,22 +59,22 @@ def _configs():
     seeds = [lambda: -rng.randint(1, 2**70), lambda: 0,
              lambda: 2**64 + rng.randint(0, 2**64),
              lambda: rng.randint(1, 10**6)]
-    out = [races.WalkConfig(200, 400, 5, 3), races.WalkConfig(200, 1, 7, 0)]
+    out = [(200, 400, 5, 3), (200, 1, 7, 0)]
     for _ in range(160):
         k, trials = rng.randint(2, 8), rng.randint(1, 40)
-        out.append(races.WalkConfig(k, _steps(rng, k, trials), trials,
-                                    rng.choice(seeds)()))
+        out.append((k, _steps(rng, k, trials), trials, rng.choice(seeds)()))
     return out
 
 
 def test_walk_matches_per_trial_loop():
     returned, late = 0, 0
     for cfg in _configs():
-        got = races.simulate_tie_walk(cfg)
-        assert got == old_tie_walk(cfg), cfg
-        hits = [t.first_return_step for t in got if t.returned_to_origin]
+        got = races.simulate_tie_walk(*cfg)
+        assert got.dtype == np.int64
+        assert got.tolist() == old_tie_walk(*cfg), cfg
+        hits = got[got > 0]
         returned += len(hits)
-        late += sum(h > 64 * cfg.teams for h in hits)
+        late += int(np.sum(hits > 64 * cfg[0]))
     # the configs exercise returns, including ones far past the first block
     assert returned > 500 and late > 30
 
@@ -95,8 +92,8 @@ def test_splitmix64_seed_array_rows_match_scalar_calls():
 
 def test_walk_more_teams_than_steps_draws_nothing():
     start = time.perf_counter()
-    trials = races.simulate_tie_walk(races.WalkConfig(10**6, 10, 1, 0))
-    assert trials == [races.WalkTrial(False, None)]
+    first = races.simulate_tie_walk(10**6, 10, 1, 0)
+    assert first.tolist() == [0]
     assert time.perf_counter() - start < 1.0
 
 
@@ -104,20 +101,18 @@ def test_walk_one_full_round_matches_direct_count():
     # with k == steps the only possible return is at step k, when every
     # team has been chosen once
     k, n = 4, 300
-    got = races.simulate_tie_walk(races.WalkConfig(k, k, n, 8))
+    got = races.simulate_tie_walk(k, k, n, 8)
     want = [len(set((races.splitmix64(s, 0, k) % np.uint64(k)).tolist()))
             == k for s in races.splitmix64(8, 0, n).tolist()]
     assert 0 < sum(want) < n
-    assert got == [races.WalkTrial(True, k) if w
-                   else races.WalkTrial(False, None) for w in want]
+    assert got.tolist() == [k if w else 0 for w in want]
 
 
 def test_walk_memory_does_not_scale_with_trials_times_teams():
     # 100 trials x 20,000 teams would be 16 MB as one int64 count table
-    cfg = races.WalkConfig(20000, 40000, 100, 5)
     tracemalloc.start()
     try:
-        races.simulate_tie_walk(cfg)
+        races.simulate_tie_walk(20000, 40000, 100, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

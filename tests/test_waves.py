@@ -276,8 +276,10 @@ def test_hypothetical_zero_validation():
         waves.HypotheticalZero(0.5, 1.0)
     with pytest.raises(DomainError):
         waves.HypotheticalZero(1.0, 1.0)
-    with pytest.raises(DomainError):
-        waves.HypotheticalZero(0.75, -1.0)
+    # a NaN gamma would give a forbidden-ordering count of 0, not an error
+    for gamma in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            waves.HypotheticalZero(0.75, gamma)
 
 
 # ---------------------------------------------------------------------------
