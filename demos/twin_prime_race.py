@@ -5,11 +5,11 @@ gap-dependent singular factor, every gap should follow the same prediction
 2 C2 Li2(x); the race is then about the small fluctuations around it.
 """
 
-from primeraces import pairs, sieve
+from primeraces import pairs, races, sieve
 
-constants = pairs.compute_c2(10**7)
-print("twin prime constant C2 = %.9f (+/- %.1e)"
-      % (constants.c2, constants.c2_error_bound))
+# the product over odd primes to 10^7 sits at most c2 / (10^7 - 1) above C2
+c2 = pairs.compute_c2(10**7)
+print("twin prime constant C2 = %.9f (+/- %.1e)" % (c2, c2 / (10**7 - 1)))
 for k in (1, 3, 5, 15):
     num, den = pairs.singular_factor(k)
     print("  singular factor for gap %2d: %d/%d" % (2 * k, num, den))
@@ -33,7 +33,8 @@ for x in xs:
         line += "%-10.1f" % r["difference"]
     print(line + "%10.1f" % cells[0]["hl_prediction"])
 
-ledger, events = pairs.pair_race(gaps, 10**6)
+ledger = pairs.pair_race(gaps, 10**6)
+events = races.detect_lead_changes(ledger)
 print("\n%d first-place changes up to 10^6; the last few:" % len(events))
 for e in events[-4:]:
     print("  x=%d  %s -> %s" % (e.x, e.previous_leader, e.new_leader))

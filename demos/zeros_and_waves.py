@@ -27,26 +27,25 @@ xs, at = np.unique(np.floor(grid), return_inverse=True)
 pi_at = sieve.count_in_progressions(10**6, 1, xs).column(0)[at]
 
 li_vals = lf.li(grid)
-truth = waves.WaveSeries(0, grid,
-                         (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
+truth = (li_vals - pi_at) * np.log(grid) / np.sqrt(grid)
 print("\nnormalized li - pi target, fit by zero count:")
 zeta_ns = (5, 10, 25, 50)
 for n, approx in zip(zeta_ns, waves.wave_sums(ztab, grid, zeta_ns)):
     stats = waves.compare_series(truth, approx)
     print("  %3d zeros: rms %.4f  correlation %.3f"
-          % (n, stats.rms, stats.correlation))
+          % (n, stats["rms"], stats["correlation"]))
 
 mod4 = sieve.count_in_progressions(10**6, 4, xs)
-truth4 = waves.WaveSeries(0, grid, (mod4.column(3)[at] - mod4.column(1)[at])
-                          * np.log(grid) / np.sqrt(grid))
-cols = [("truth", truth4.values)]
+truth4 = ((mod4.column(3)[at] - mod4.column(1)[at])
+          * np.log(grid) / np.sqrt(grid))
+cols = [("truth", truth4)]
 print("\nmod-4 target, fit by zero count:")
 beta_ns = (5, 15, 40)
 for n, approx in zip(beta_ns, waves.wave_sums(btab, grid, beta_ns)):
-    cols.append(("approx_%d" % n, approx.values))
+    cols.append(("approx_%d" % n, approx))
     stats = waves.compare_series(truth4, approx)
     print("  %3d zeros: rms %.4f  correlation %.3f"
-          % (n, stats.rms, stats.correlation))
+          % (n, stats["rms"], stats["correlation"]))
 
 csv_path = os.path.join(HERE, "mod4_waves.csv")
 svg_path = os.path.join(HERE, "mod4_waves.svg")

@@ -10,8 +10,8 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          gauss_overcount, li, li2, li_from_origin,
                          parse_zero_table, psi_rh_inequality_check,
                          quadratic, riemann_overcount, riemann_prediction)
-from .pairs import (HLConstants, compute_c2, hl_prediction,
-                    normalized_count, pair_race, singular_factor, twin_table)
+from .pairs import (compute_c2, hl_prediction, normalized_count, pair_race,
+                    singular_factor, twin_table)
 from .races import (Histogram, LeadChangeEvent, RaceLedger, TeamSpec,
                     build_histogram, detect_lead_changes, error_term,
                     euler_phi, lead_windows, leader_density,
@@ -21,9 +21,8 @@ from .races import (Histogram, LeadChangeEvent, RaceLedger, TeamSpec,
 from .sieve import (ResidueCounts, checkpoint_load, count_in_progressions,
                     count_pairs_by_gap, count_primes, iter_prime_blocks,
                     primes_up_to)
-from .waves import (HypotheticalZero, SeriesStats, WaveSeries,
-                    compare_series, forbidden_ordering_count,
-                    ford_konyagin_grid, lhs_pi_li, log_grid,
+from .waves import (HypotheticalZero, compare_series,
+                    forbidden_ordering_count, ford_konyagin_grid, log_grid,
                     sawtooth_partial_sum, wave_sums)
 
 __version__ = "0.1.0"

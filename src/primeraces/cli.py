@@ -237,20 +237,16 @@ def cmd_explicit(args):
     xs, at = np.unique(np.floor(grid), return_inverse=True)
     counts = sieve.count_in_progressions(int(hi), 1 if pi_li else 4, xs)
     if pi_li:
-        truth = waves.lhs_pi_li(grid, counts.column(0)[at])
+        truth = races.shanks_ratio(grid, lf.li(grid), counts.column(0)[at])
     else:
         truth = races.shanks_ratio(grid, counts.column(3)[at],
                                    counts.column(1)[at])
 
-    truth_series = waves.WaveSeries(0, grid, truth)
     columns = [("truth", truth)]
     stats = {}
     for t, approx in zip(truncations, approxes):
-        columns.append(("approx_%d" % t, approx.values))
-        st = waves.compare_series(truth_series, approx)
-        stats["approx_%d" % t] = {"rms": st.rms,
-                                  "correlation": st.correlation,
-                                  "sign_agreement": st.sign_agreement}
+        columns.append(("approx_%d" % t, approx))
+        stats["approx_%d" % t] = waves.compare_series(truth, approx)
     if args.format == "svg":
         text = waves.render_series_svg(
             grid, columns, title="%s, zeros from %s"
@@ -276,7 +272,8 @@ def cmd_twins(args):
     gaps = _parse_ints(args.gaps, "gap list")
     _check_count(max(gaps), "largest gap")
     if args.race:
-        ledger, events = pairs.pair_race(gaps, limit, place=args.place)
+        events = races.detect_lead_changes(pairs.pair_race(gaps, limit),
+                                           args.place)
         return _events(events, args.format, {"gaps": gaps})
     cks = _parse_checkpoints(args.checkpoints, limit)
     rows = pairs.twin_table(gaps, cks, limit)

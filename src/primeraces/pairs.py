@@ -9,32 +9,21 @@ and compare integers, so ties are decided exactly, never through floats.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import sieve
 from .errors import CapacityError, DomainError
 from .lfunctions import li2
-from .races import RaceLedger, _running_counts, detect_lead_changes
-
-
-@dataclass(frozen=True)
-class HLConstants:
-    c2: float
-    c2_error_bound: float
-
-    def __post_init__(self):
-        if not (0 < self.c2 < 1 and self.c2_error_bound > 0):
-            raise DomainError("constants out of range")
+from .races import RaceLedger, _running_counts
 
 
 def compute_c2(prime_limit=10**7):
     """Partial product of (1 - 1/(p-1)^2) over odd primes <= prime_limit.
 
     The dropped tail lies in [1 - sum_{n>limit} 1/(n-1)^2, 1], so the true
-    constant sits within c2 * 1/(limit-1) below the returned value.  The
-    result is cached per limit: a repeat call returns the same object.
+    constant C2 sits at most c2 / (prime_limit - 1) below the returned
+    value c2.  The result is cached per limit.
     """
     return _c2_product(int(prime_limit))
 
@@ -45,8 +34,7 @@ def _c2_product(prime_limit):
         raise DomainError("need at least one odd prime")
     primes = sieve.primes_up_to(prime_limit)[1:]
     p = primes.astype(float)
-    c2 = float(np.exp(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2)))))
-    return HLConstants(c2, c2 / (prime_limit - 1))
+    return float(np.exp(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2)))))
 
 
 def singular_factor(k):
@@ -74,7 +62,7 @@ def hl_prediction(x):
     """The common pair-count prediction 2 * C2 * Li2(x)."""
     if x < 2:
         raise DomainError("prediction needs x >= 2")
-    return 2.0 * compute_c2().c2 * li2(x)
+    return 2.0 * compute_c2() * li2(x)
 
 
 def _scaled_teams(gaps):
@@ -100,16 +88,15 @@ def _pair_chunks(limit, gaps, scales):
             yield lo + 2 * idx.astype(np.int64, copy=False), counts
 
 
-def pair_race(gaps, limit, place="first"):
-    """Race the renormalized pair counts across gaps.
+def pair_race(gaps, limit):
+    """Race the renormalized pair counts across gaps: the RaceLedger of the
+    gaps' counts, each scaled to a common denominator, as run_dense_race
+    returns for progressions.
 
-    Returns (ledger, events).  The dense ledger samples at every x where
-    any gap's count changes, so place changes are exact; events follow the
-    same strict-leader/tie convention as the progression races, tracking
-    first place by default (pass place="last", or run detect_lead_changes
-    on the returned ledger, for the trailing position).  A scaled count is
-    at most max(scales) * pi(limit); gap sets whose bound exceeds int64 are
-    a CapacityError.
+    The dense ledger samples at every x where any gap's count changes, so
+    races.detect_lead_changes(ledger, place) on it gives exact place
+    changes.  A scaled count is at most max(scales) * pi(limit); gap sets
+    whose bound exceeds int64 are a CapacityError.
     """
     gaps = sieve._check_gaps(gaps)
     limit = sieve.check_limit(limit, extra=max(gaps))
@@ -120,8 +107,7 @@ def pair_race(gaps, limit, place="first"):
         raise CapacityError("pair-count scale %d times up to pi(%d) pairs "
                             "exceeds int64" % (big, limit))
     chunks = functools.partial(_pair_chunks, limit, gaps, scales)
-    ledger = RaceLedger(map(str, gaps), limit, chunks)
-    return ledger, detect_lead_changes(ledger, place)
+    return RaceLedger(map(str, gaps), limit, chunks)
 
 
 def round_half_away(v):

@@ -208,7 +208,7 @@ def lead_windows(ledger, label):
 def littlewood_bound(x):
     """Classical comparison curve sqrt(x) ln ln ln x / (2 ln x): the
     challenger's lead provably exceeds this envelope infinitely often."""
-    if x <= math.e ** math.e:
+    if not x > math.e ** math.e:
         raise DomainError("the triple log needs x > e^e")
     return 0.5 * math.sqrt(x) * math.log(math.log(math.log(x))) / math.log(x)
 
@@ -227,7 +227,7 @@ def euler_phi(q):
 def error_term(x, q, a, pi_x, pi_x_q_a):
     """Deviation of pi(x;q,a) from the equidistributed share pi(x)/phi(q),
     normalized by sqrt(x)/ln(x), as a float."""
-    if x < 3:
+    if not x >= 3:
         raise DomainError("error term needs x >= 3")
     if math.gcd(a, q) != 1:
         raise DomainError("residue %d not coprime to %d" % (a, q))
@@ -238,7 +238,7 @@ def shanks_ratio(x, count_a, count_b):
     """(count_a - count_b) * ln(x) / sqrt(x), the histogram statistic;
     elementwise over arrays of x and counts."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 2):
+    if not np.all(x >= 2):
         raise DomainError("ratio needs x >= 2")
     return (count_a - count_b) * np.log(x) / np.sqrt(x)
 

@@ -228,9 +228,7 @@ def _residue_offset(lo, q, a):
     if q % 2 == 1:
         inv2 = (q + 1) // 2
         return ((a - lo) * inv2) % q, q
-    # q even: only odd residues are reachable, index period is q/2
-    if a % 2 == 0:
-        raise DomainError("even residue %d unreachable for even modulus" % a)
+    # q even: a is odd (coprime to q), and the index period is q/2
     return (((a - lo) // 2) % (q // 2)), q // 2
 
 

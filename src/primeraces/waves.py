@@ -12,27 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lfunctions import li
-from .races import shanks_ratio
-
-
-@dataclass(frozen=True)
-class WaveSeries:
-    """Truncated wave-sum values on an ascending x grid."""
-
-    zeros_used: int
-    x_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        xg = np.asarray(self.x_grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "x_grid", xg)
-        object.__setattr__(self, "values", vals)
-        if len(xg) != len(vals):
-            raise DomainError("grid and values must have matching length")
-        if len(xg) and (xg[0] < 2 or np.any(np.diff(xg) <= 0)):
-            raise DomainError("grid must be strictly ascending with x >= 2")
 
 
 @dataclass(frozen=True)
@@ -50,13 +29,6 @@ class HypotheticalZero:
             raise DomainError("gamma must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class SeriesStats:
-    rms: float
-    correlation: float
-    sign_agreement: float
-
-
 def sawtooth_partial_sum(x, n_waves):
     """-2 * sum_{n<=N} sin(2 pi n x)/(2 pi n), the N-wave approximation
     to x - 1/2 on the open unit interval."""
@@ -72,8 +44,9 @@ def sawtooth_partial_sum(x, n_waves):
 
 def wave_sums(table, x_grid, truncations):
     """The wave sums 1 + 2 * sum over ordinates of sin(gamma ln x)/gamma on
-    a whole grid of x >= 2, one WaveSeries per entry of ``truncations``:
-    over the lowest m ordinates (all of them for None).  The grid is summed
+    a whole grid of x >= 2, as a float array of shape (len(truncations),
+    len(x_grid)): row i sums over the lowest truncations[i] ordinates (all
+    of them for None, at most len(table) in any case).  The grid is summed
     in blocks of rows of at most 2^22 (x, gamma) cells, sized for the
     largest truncation; each block's sines are taken once and every
     truncation sums a prefix of their columns."""
@@ -83,7 +56,7 @@ def wave_sums(table, x_grid, truncations):
         if m is not None and m < 0:
             raise DomainError("zeros_used must be >= 0, got %d" % m)
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid < 2):
+    if not np.all(x_grid >= 2):
         raise DomainError("wave sums need x >= 2")
     used = [len(table.ordinates[:m]) for m in truncations]
     g = table.ordinates[:max(used, default=0)]
@@ -99,22 +72,14 @@ def wave_sums(table, x_grid, truncations):
         # 2 (S v) == (2 S) v exactly, without a scaled copy of the block
         for row, m in zip(vals, used):
             row[i:i + chunk] = 1.0 + 2.0 * (s[:, :m] @ inv[:m])
-    return [WaveSeries(m, x_grid, v) for m, v in zip(used, vals)]
-
-
-def lhs_pi_li(x, pi_x):
-    """(Li(x) - pi(x)) normalized by sqrt(x)/ln(x), elementwise over arrays
-    of x and pi(x).  Li is evaluated once over the whole grid, in closed
-    form."""
-    x = np.asarray(x, dtype=float)
-    return shanks_ratio(x, li(x), pi_x)
+    return vals
 
 
 def ford_konyagin_grid(z, x_grid):
     """Right-hand sides of the four normalized mod-5 deviations under one
     off-line zero, as rows (4, n) over a grid: residues 1, 2, 3, 4."""
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid < 2):
+    if not np.all(x_grid >= 2):
         raise DomainError("profile grid needs x >= 2")
     th = z.gamma * np.log(x_grid)
     c, s = np.cos(th), np.sin(th)
@@ -135,12 +100,12 @@ def forbidden_ordering_count(z, x_grid):
 
 
 def compare_series(truth, approx):
-    """Error statistics of an approximation against truth on one grid."""
-    if len(truth.x_grid) != len(approx.x_grid) or \
-            not np.array_equal(truth.x_grid, approx.x_grid):
-        raise DomainError("series grids must be identical")
-    t = truth.values
-    a = approx.values
+    """Error statistics of approximate values against true ones at the same
+    grid points: {"rms", "correlation", "sign_agreement"}."""
+    t = np.asarray(truth, dtype=float)
+    a = np.asarray(approx, dtype=float)
+    if len(t) != len(a):
+        raise DomainError("series must have matching length")
     if len(t) == 0:
         raise DomainError("empty series")
     resid = a - t
@@ -151,7 +116,7 @@ def compare_series(truth, approx):
     else:
         corr = float(np.corrcoef(t, a)[0, 1])
     agree = float(np.mean(np.sign(t) == np.sign(a)))
-    return SeriesStats(rms, corr, agree)
+    return {"rms": rms, "correlation": corr, "sign_agreement": agree}
 
 
 def log_grid(lo, hi, points):

@@ -143,10 +143,9 @@ def test_criterion_09_wave_sum_improves_with_more_zeros():
         ztab = lf.find_zeros(lf.ZETA, 237)
         assert len(ztab) >= 100
         li_vals = np.array([lf.li(float(x)) for x in grid])
-        truth = waves.WaveSeries(
-            0, grid, (li_vals - pi_at) * np.log(grid) / np.sqrt(grid))
-        rms10, rms100 = (waves.compare_series(truth, approx).rms for approx
-                         in waves.wave_sums(ztab, grid, [10, 100]))
+        truth = (li_vals - pi_at) * np.log(grid) / np.sqrt(grid)
+        rms10, rms100 = (waves.compare_series(truth, approx)["rms"]
+                         for approx in waves.wave_sums(ztab, grid, [10, 100]))
         print("    li-pi target: rms10=%.4f rms100=%.4f" % (rms10, rms100))
         assert rms100 < rms10
 
@@ -155,11 +154,10 @@ def test_criterion_09_wave_sum_improves_with_more_zeros():
         res = primes % 4
         c3 = np.cumsum(res == 3)
         c1 = np.cumsum(res == 1)
-        truth4 = waves.WaveSeries(
-            0, grid, (c3[pi_at - 1] - c1[pi_at - 1])
-            * np.log(grid) / np.sqrt(grid))
-        rms10, rms100 = (waves.compare_series(truth4, approx).rms for approx
-                         in waves.wave_sums(btab, grid, [10, 100]))
+        truth4 = ((c3[pi_at - 1] - c1[pi_at - 1])
+                  * np.log(grid) / np.sqrt(grid))
+        rms10, rms100 = (waves.compare_series(truth4, approx)["rms"]
+                         for approx in waves.wave_sums(btab, grid, [10, 100]))
         print("    mod-4 target: rms10=%.4f rms100=%.4f" % (rms10, rms100))
         assert rms100 < rms10
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from primeraces import cli, lfunctions, pairs, sieve
+from primeraces import cli, lfunctions, pairs, races, sieve
 from primeraces.errors import CapacityError, DomainError
 
 import published_tables as pub
@@ -18,23 +18,25 @@ def c2():
 
 def test_c2_value(c2):
     # first eight digits of the slowly convergent product
-    assert c2.c2 == pytest.approx(0.6601618, abs=1e-6)
-    assert c2.c2_error_bound < 1e-6
+    assert type(c2) is float
+    assert c2 == pytest.approx(0.6601618, abs=1e-6)
+    # the documented tail bound, c2 / (prime_limit - 1), is below 1e-6
+    assert c2 / (10**7 - 1) < 1e-6
 
 
 def test_c2_single_factor():
-    got = pairs.compute_c2(3)
-    assert got.c2 == pytest.approx(0.75, rel=1e-15)
-    assert got.c2_error_bound > 0
+    assert pairs.compute_c2(3) == pytest.approx(0.75, rel=1e-15)
 
 
 def test_c2_monotone_refinement():
-    prev = pairs.compute_c2(10**4)
+    prev_limit = 10**4
+    prev = pairs.compute_c2(prev_limit)
     for limit in (2 * 10**4, 4 * 10**4, 8 * 10**4):
         cur = pairs.compute_c2(limit)
         # the product only decreases, and stays inside the prior interval
-        assert prev.c2 - prev.c2_error_bound <= cur.c2 <= prev.c2
-        prev = cur
+        # [c2 - c2 / (prime_limit - 1), c2]
+        assert prev - prev / (prev_limit - 1) <= cur <= prev
+        prev_limit, prev = limit, cur
 
 
 def test_singular_factors():
@@ -114,14 +116,15 @@ def test_gap6_to_gap2_ratio_at_1e7():
 
 
 def test_pair_race_checkpoint_counts():
-    ledger, _ = pairs.pair_race([2, 4, 8, 16], 10**6)
+    ledger = pairs.pair_race([2, 4, 8, 16], 10**6)
     # scale factors are all 1 for powers of two
     assert list(ledger.counts[:, -1]) == [8169, 8144, 8242, 8210]
 
 
 def test_pair_race_dense_leader_is_gap8_at_1e6():
-    ledger, events = pairs.pair_race([2, 4, 6, 8, 10], 10**6)
-    assert len(events) > 0
+    ledger = pairs.pair_race([2, 4, 6, 8, 10], 10**6)
+    assert isinstance(ledger, races.RaceLedger)
+    assert len(races.detect_lead_changes(ledger)) > 0
     idx = {lab: i for i, lab in enumerate(ledger.labels)}
     final = ledger.counts[:, -1]
     assert ledger.labels[int(np.argmax(final))] == "8"
@@ -133,15 +136,16 @@ def test_dense_pair_race_samples_the_union_of_starts(segment_entries):
         segment_entries(8 * 2 ** rng.randint(1, 12))
         gaps = rng.sample([2, 4, 6, 8, 10, 30, 64], rng.randint(1, 5))
         limit = rng.randint(2, 20000)
-        ledger, _ = pairs.pair_race(gaps, limit)
+        ledger = pairs.pair_race(gaps, limit)
         starts = pair_starts(limit, gaps)
         assert np.array_equal(ledger.xs, np.unique(np.concatenate(starts)))
         assert ledger.xs.dtype == np.int64
 
 
 def test_pair_race_single_gap_no_events():
-    _, events = pairs.pair_race([2], 10**5)
-    assert events == []
+    ledger = pairs.pair_race([2], 10**5)
+    assert races.detect_lead_changes(ledger) == []
+    assert races.detect_lead_changes(ledger, "last") == []
 
 
 def test_pair_race_distinct_gaps():
@@ -179,7 +183,7 @@ def test_pair_race_scales_that_overflow_int64_are_refused(tmp_path,
 def test_pair_race_bounds_by_pi_where_the_odd_count_overflows():
     # scale 3.3e12 times 1.5e7 odd numbers is past int64, times
     # pi(3e7) = 1,857,859 is not; the largest scaled count is 5.1e17
-    ledger, _ = pairs.pair_race([99706, 99814, 99860, 99964], 3 * 10**7)
+    ledger = pairs.pair_race([99706, 99814, 99860, 99964], 3 * 10**7)
     assert int(ledger.counts.max()) == 511_908_441_833_748_960
 
 
@@ -191,7 +195,7 @@ def test_pair_race_cap_names_limit_plus_gap():
 
 def test_c2_cached(c2):
     assert pairs.compute_c2() is c2
-    assert pairs.hl_prediction(10**6) == 2.0 * c2.c2 * lfunctions.li2(10**6)
+    assert pairs.hl_prediction(10**6) == 2.0 * c2 * lfunctions.li2(10**6)
 
 
 def test_gap_validation():

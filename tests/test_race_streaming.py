@@ -181,8 +181,9 @@ def test_streaming_pair_race_matches_the_union_of_starts_ledger(
         segment_entries(entries)
         labels = [str(g) for g in gaps]
         where = (case, gaps, entries, limit)
+        ledger = pairs.pair_race(gaps, limit)
         for place in ("first", "last"):
-            ledger, events = pairs.pair_race(gaps, limit, place=place)
+            events = races.detect_lead_changes(ledger, place)
             got = [(e.x, e.previous_leader, e.new_leader) for e in events]
             assert got == old_events(xs, mat, labels, place), where
         assert np.array_equal(ledger.xs, xs) and \
@@ -241,7 +242,8 @@ def test_pair_race_memory_is_one_segment_of_masks():
     # with each built in place
     tracemalloc.start()
     try:
-        _, events = pairs.pair_race([2, 4, 6, 8, 10], 2 * 10**7)
+        events = races.detect_lead_changes(
+            pairs.pair_race([2, 4, 6, 8, 10], 2 * 10**7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -146,10 +146,22 @@ def test_error_term_values():
     assert races.error_term(100, 4, 1, 25, 11) == \
         pytest.approx(-0.6907755278982138, abs=1e-12)
     assert races.error_term(100, 4, 1, 24, 12) == 0.0
-    with pytest.raises(DomainError):
-        races.error_term(2, 4, 1, 1, 1)
+    for x in (2, math.nan):
+        with pytest.raises(DomainError, match="x >= 3"):
+            races.error_term(x, 4, 1, 1, 1)
     with pytest.raises(DomainError):
         races.error_term(100, 4, 2, 25, 13)
+
+
+def test_littlewood_bound_domain():
+    # sqrt(x) ln ln ln x / (2 ln x) at x = 10^6, by mpmath
+    assert races.littlewood_bound(10**6) == pytest.approx(
+        float(mpmath.sqrt(10**6) * mpmath.log(mpmath.log(mpmath.log(10**6)))
+              / (2 * mpmath.log(10**6))), rel=1e-14)
+    assert races.littlewood_bound(16.0) > 0
+    for x in (math.e ** math.e, 1.0, math.nan):
+        with pytest.raises(DomainError, match="x > e\\^e"):
+            races.littlewood_bound(x)
 
 
 def test_euler_phi_counts_the_coprime_residues():
