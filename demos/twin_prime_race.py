@@ -7,9 +7,8 @@ gap-dependent singular factor, every gap should follow the same prediction
 
 from primeraces import pairs, races, sieve
 
-# the product over odd primes to 10^7 sits at most c2 / (10^7 - 1) above C2
-c2 = pairs.compute_c2(10**7)
-print("twin prime constant C2 = %.9f (+/- %.1e)" % (c2, c2 / (10**7 - 1)))
+print("twin prime constant C2 = %.15f (Wrench 1961; OEIS A005597)"
+      % pairs.C2)
 for k in (1, 3, 5, 15):
     num, den = pairs.singular_factor(k)
     print("  singular factor for gap %2d: %d/%d" % (2 * k, num, den))

@@ -10,7 +10,7 @@ from .lfunctions import (BETA4, ZETA, LFunctionId, ZeroTable,
                          gauss_overcount, li, li2, li_from_origin,
                          parse_zero_table, psi_rh_inequality_check,
                          quadratic, riemann_overcount, riemann_prediction)
-from .pairs import (compute_c2, hl_prediction, normalized_count, pair_race,
+from .pairs import (C2, hl_prediction, normalized_count, pair_race,
                     singular_factor, twin_table)
 from .races import (Histogram, LeadChangeEvent, RaceLedger, TeamSpec,
                     build_histogram, detect_lead_changes, error_term,

@@ -18,23 +18,9 @@ from .lfunctions import li2
 from .races import RaceLedger, _running_counts
 
 
-def compute_c2(prime_limit=10**7):
-    """Partial product of (1 - 1/(p-1)^2) over odd primes <= prime_limit.
-
-    The dropped tail lies in [1 - sum_{n>limit} 1/(n-1)^2, 1], so the true
-    constant C2 sits at most c2 / (prime_limit - 1) below the returned
-    value c2.  The result is cached per limit.
-    """
-    return _c2_product(int(prime_limit))
-
-
-@functools.lru_cache(maxsize=8)
-def _c2_product(prime_limit):
-    if prime_limit < 3:
-        raise DomainError("need at least one odd prime")
-    primes = sieve.primes_up_to(prime_limit)[1:]
-    p = primes.astype(float)
-    return float(np.exp(np.sum(np.log1p(-1.0 / ((p - 1.0) ** 2)))))
+#: the twin-prime constant, prod over odd primes p of (1 - 1/(p-1)^2)
+#: (Wrench, Math. Comp. 15, 1961; OEIS A005597; mpmath.twinprime)
+C2 = 0.66016181584686957392781211
 
 
 def singular_factor(k):
@@ -62,7 +48,7 @@ def hl_prediction(x):
     """The common pair-count prediction 2 * C2 * Li2(x)."""
     if x < 2:
         raise DomainError("prediction needs x >= 2")
-    return 2.0 * compute_c2() * li2(x)
+    return 2.0 * C2 * li2(x)
 
 
 def _scaled_teams(gaps):
@@ -80,10 +66,18 @@ def _pair_chunks(limit, gaps, scales):
     across segments) times its scale."""
     carry = np.zeros(len(gaps), dtype=np.int64)
     scales = np.array(scales, dtype=np.int64)[:, None]
-    for lo, _, masks in sieve._pair_masks(limit, gaps):
-        idx = np.flatnonzero(functools.reduce(np.logical_or, masks))
+    halves = [g // 2 for g in gaps]
+    buf = None
+    for lo, n, seg in sieve._segments(limit, max(gaps)):
+        # one buffer per pass, sized by the first (longest) segment
+        buf = np.empty(n, dtype=bool) if buf is None else buf[:n]
+        np.copyto(buf, seg[halves[0]:halves[0] + n])
+        for h in halves[1:]:
+            np.logical_or(buf, seg[h:h + n], out=buf)
+        np.logical_and(buf, seg[:n], out=buf)
+        idx = np.flatnonzero(buf)
         if len(idx):
-            counts = _running_counts([m[idx] for m in masks], carry)
+            counts = _running_counts([seg[idx + h] for h in halves], carry)
             counts *= scales
             yield lo + 2 * idx.astype(np.int64, copy=False), counts
 

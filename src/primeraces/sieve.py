@@ -27,8 +27,10 @@ HELD_CAP = 10**9
 #: ``_segments`` reads it on each call, so tests may shrink it.
 SEGMENT_ENTRIES = 1 << 20
 
-#: the most pair gaps one pass takes: each holds a segment-sized mask at
-#: once, so 100 gaps hold at most 100 MiB of masks
+#: the most pair gaps one pass takes.  The gaps share one segment-sized
+#: pair mask, but a pair_race chunk holds an int64 running count per gap
+#: for every pair start of a segment: 100 gaps hold at most 100 x 155,611
+#: (the primes of the first segment) x 8 bytes = 125 MB
 GAP_CAP = 100
 #: the most cells (checkpoints x residues) of one count table: 76 MiB int64
 TABLE_CELL_CAP = 10**7
@@ -169,13 +171,6 @@ def _segments(limit, extra=0):
         yield lo, n, _mark_segment(lo, n + extra // 2, odd_base)
 
 
-def _pair_masks(limit, gaps):
-    """Yield (lo, n, masks) ascending, one sieve pass for every gap:
-    masks[j][i] marks lo+2i and lo+2i+gaps[j] both prime, lo+2i <= limit."""
-    for lo, n, seg in _segments(limit, max(gaps)):
-        yield lo, n, [seg[:n] & seg[g // 2:g // 2 + n] for g in gaps]
-
-
 def iter_prime_blocks(limit):
     """Yield ascending numpy arrays of primes covering 2..limit."""
     limit = check_limit(limit)
@@ -312,9 +307,14 @@ def count_pairs_by_gap(limit, gaps, checkpoints):
     limit = check_limit(limit, extra=max(gaps))
     checkpoints, top = _check_checkpoints(checkpoints, limit)
     tallies = [_Tally(1, checkpoints) for _ in gaps]
-    for lo, n, masks in _pair_masks(top, gaps):
-        for tally, mask in zip(tallies, masks):
-            tally.add(lo, n, mask)
+    buf = None
+    for lo, n, seg in _segments(top, max(gaps)):
+        # one pair mask at a time, in one buffer sized by the first segment:
+        # buf[i] marks lo+2i and lo+2i+g both prime, lo+2i <= top
+        buf = np.empty(n, dtype=bool) if buf is None else buf[:n]
+        for tally, g in zip(tallies, gaps):
+            tally.add(lo, n, np.logical_and(seg[:n], seg[g // 2:g // 2 + n],
+                                            out=buf))
     return np.hstack([tally.finish() for tally in tallies])
 
 

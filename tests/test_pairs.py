@@ -4,39 +4,29 @@ import random
 import numpy as np
 import pytest
 
-from primeraces import cli, lfunctions, pairs, races, sieve
+from primeraces import cli, pairs, races, sieve
 from primeraces.errors import CapacityError, DomainError
 
 import published_tables as pub
 from conftest import pair_starts
 
 
-@pytest.fixture(scope="module")
-def c2():
-    return pairs.compute_c2(10**7)
+def test_c2_is_the_published_constant():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert pairs.C2 == float(mpmath.twinprime)
 
 
-def test_c2_value(c2):
-    # first eight digits of the slowly convergent product
-    assert type(c2) is float
-    assert c2 == pytest.approx(0.6601618, abs=1e-6)
-    # the documented tail bound, c2 / (prime_limit - 1), is below 1e-6
-    assert c2 / (10**7 - 1) < 1e-6
-
-
-def test_c2_single_factor():
-    assert pairs.compute_c2(3) == pytest.approx(0.75, rel=1e-15)
-
-
-def test_c2_monotone_refinement():
-    prev_limit = 10**4
-    prev = pairs.compute_c2(prev_limit)
-    for limit in (2 * 10**4, 4 * 10**4, 8 * 10**4):
-        cur = pairs.compute_c2(limit)
-        # the product only decreases, and stays inside the prior interval
-        # [c2 - c2 / (prime_limit - 1), c2]
-        assert prev - prev / (prev_limit - 1) <= cur <= prev
-        prev_limit, prev = limit, cur
+def test_hl_prediction_against_mpmath():
+    # 2 C2 Li2(x), with Li2 = int_2^x dt / ln^2 t by quadrature, 30 digits;
+    # the partial product of C2 to 10^7 sits 5.9e-9 below, far outside
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (10**3, 10**4, 10**5, 10**6, 10**7, 3 * 10**7):
+            cuts = [2] + [10**k for k in range(1, 8) if 10**k < x] + [x]
+            li2 = mpmath.quad(lambda t: 1 / mpmath.log(t) ** 2, cuts)
+            want = float(2 * mpmath.twinprime * li2)
+            assert abs(pairs.hl_prediction(x) / want - 1) <= 1e-12, x
 
 
 def test_singular_factors():
@@ -193,11 +183,6 @@ def test_pair_race_cap_names_limit_plus_gap():
         pairs.pair_race([2, 100], 10**10 - 50)
 
 
-def test_c2_cached(c2):
-    assert pairs.compute_c2() is c2
-    assert pairs.hl_prediction(10**6) == 2.0 * c2 * lfunctions.li2(10**6)
-
-
 def test_gap_validation():
     for bad in (0, -2, 3):
         for call in (lambda: sieve.count_pairs_by_gap(1000, [bad], [1000]),
@@ -205,5 +190,3 @@ def test_gap_validation():
                      lambda: pairs.twin_table([2, bad], [1000])):
             with pytest.raises(DomainError, match="gap"):
                 call()
-    with pytest.raises(DomainError):
-        pairs.compute_c2(2)

@@ -2,13 +2,14 @@ import bisect
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeraces import sieve
+from primeraces import pairs, sieve
 from primeraces.errors import CapacityError, DomainError, ParseError
 
 import published_tables as pub
@@ -227,6 +228,44 @@ def test_pair_counts_at_straddle_segments(gap, oracle_primes_1e5,
     assert pair_rows(999, [gap], xs[:-1])[0] == want[:-1]
 
 
+@pytest.mark.parametrize("entries, gaps, limit", [
+    (8, [2, 40], 5000), (16, [4, 6, 70, 128], 4999), (64, [2, 30, 300], 5000)])
+def test_pair_kernel_against_trial_division(entries, gaps, limit,
+                                            oracle_primes_1e5,
+                                            segment_entries):
+    # a segment spans 2 * entries integers, so the largest gap looks past
+    # the next segment; both passes share one buffer across gaps
+    segment_entries(entries)
+    ps = set(oracle_primes_1e5.tolist())
+    starts = [[p for p in sorted(ps) if p <= limit and p + g in ps]
+              for g in gaps]
+    xs = list(range(1, limit + 1))
+    assert sieve.count_pairs_by_gap(limit, gaps, xs).tolist() == \
+        [[bisect.bisect_right(st, x) for st in starts] for x in xs]
+    # the race samples the union of starts, each gap's scaled count there
+    union = sorted(set().union(*starts))
+    ledger = pairs.pair_race(gaps, limit)
+    assert ledger.xs.tolist() == union
+    assert ledger.counts.tolist() == [
+        [bisect.bisect_right(st, x) * s for x in union]
+        for st, s in zip(starts, pairs._scaled_teams(gaps))]
+
+
+def test_pair_tally_memory_does_not_grow_with_the_gaps():
+    # every gap's pair mask is written to one buffer, so a gap must not
+    # add a segment-sized mask (about 1 MiB here) to the peak
+    def peak(gaps):
+        tracemalloc.start()
+        try:
+            sieve.count_pairs_by_gap(2 * 10**6, gaps, [10**6, 2 * 10**6])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, twenty = peak([2]), peak(list(range(2, 42, 2)))
+    assert twenty - one < sieve.SEGMENT_ENTRIES, (one, twenty)
+
+
 def test_mark_segment_matches_small_primes():
     # lo below, at and just past a prime square, and segments ending on one
     rng = random.Random(20261018)
@@ -350,11 +389,20 @@ def _tally_one_count_per_checkpoint(segments, q, checkpoints, two):
 
 
 def _masks(limit, gap):
-    """(lo, n, mask) per segment: the primes, or with a gap the pairs."""
+    """(lo, n, mask) per segment: the primes, or with a gap the pair masks
+    that count_pairs_by_gap hands its tally, copied out of its buffer."""
     if not gap:
         return list(sieve._segments(limit))
-    return [(lo, n, masks[0])
-            for lo, n, masks in sieve._pair_masks(limit, [gap])]
+    seen = []
+
+    class Keep(sieve._Tally):
+        def add(self, lo, n, mask):
+            seen.append((lo, n, mask.copy()))
+            super().add(lo, n, mask)
+
+    with mock.patch.object(sieve, "_Tally", Keep):
+        sieve.count_pairs_by_gap(limit, [gap], [limit])
+    return seen
 
 
 def test_tally_matches_one_count_per_checkpoint(segment_entries):
