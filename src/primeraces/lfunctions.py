@@ -25,7 +25,7 @@ T_MAX_CAP = 500.0
 TERMS_CAP = 1 << 15
 #: zero search: scan step along the critical line, how often a dip toward
 #: zero without a sign change is rescanned at half the step, and the
-#: bracket width each zero is bisected to
+#: bracket width each zero is refined to
 SCAN_STEP = 0.05
 MAX_HALVINGS = 6
 ZERO_PRECISION = 1e-9
@@ -386,31 +386,59 @@ def _hardy_z_grid(lid, ts):
     return (np.exp(1j * _theta(lid.d, ts)) * _l_grid(lid, 0.5, ts)).real
 
 
-def _bisect_zeros(lid, brackets):
-    """Midpoints of the sign-change brackets (a, b, f(a)), each bisected to
-    width <= ZERO_PRECISION.  All live brackets step together, one grid call
-    over their midpoints per step; each follows the same midpoints as it
-    would alone."""
-    a, b, fa = np.array(brackets, dtype=float).reshape(-1, 3).T
-    live = np.flatnonzero(b - a > ZERO_PRECISION)
-    while len(live):
-        m = 0.5 * (a[live] + b[live])
-        fm = _hardy_z_grid(lid, m)
-        left = fa[live] * fm <= 0
-        right = ~left
-        b[live[left]] = m[left]
-        a[live[right]], fa[live[right]] = m[right], fm[right]
-        live = live[b[live] - a[live] > ZERO_PRECISION]
-    return 0.5 * (a + b)
+def _refine_zeros(lid, brackets):
+    """The zero in each sign-change bracket (a, b, f(a), f(b)), refined by
+    the Illinois form of regula falsi (Dowell & Jarratt, BIT 11, 1971) until
+    the bracket is at most ZERO_PRECISION wide.  Each step evaluates the
+    secant point, clipped to lie at least 0.45 ZERO_PRECISION inside the
+    bracket, so that a step beside the zero lands across it and closes the
+    bracket (Brent, 1973, ch. 4); the end kept twice running has its value
+    halved.  A bracket that has not halved over three steps is bisected on
+    the fourth, so a bracket of width w takes at most
+    4 ceil(log2(w / ZERO_PRECISION)) steps: 104 for the scan's 0.05.  All
+    live brackets step together, one grid call per step, and each follows
+    the same points as it would alone.  Returns the secant point of each
+    final bracket, not nudged, clipped into the bracket against rounding."""
+    a, b, fa, fb = np.array(brackets, dtype=float).reshape(-1, 4).T
+    nudge = 0.45 * ZERO_PRECISION
+    ref = b - a  # the width the next halving is measured from
+    age = np.zeros(len(a), dtype=int)  # steps since the width last halved
+    moved = np.zeros(len(a), dtype=int)  # +1: a moved last, -1: b moved
+    est = np.empty(len(a))
+    live = np.arange(len(a))
+    while True:
+        lo, hi = a[live], b[live]
+        est[live] = lo - fa[live] * (hi - lo) / (fb[live] - fa[live])
+        live = live[hi - lo > ZERO_PRECISION]
+        if not len(live):
+            return np.clip(est, a, b)
+        lo, hi = a[live], b[live]
+        ts = np.where(age[live] >= 3, 0.5 * (lo + hi),
+                      np.clip(est[live], lo + nudge, hi - nudge))
+        fs = _hardy_z_grid(lid, ts)
+        left = fs * fa[live] > 0  # same sign as f(a): the zero lies above
+        side = np.where(left, 1, -1)
+        twice = side == moved[live]
+        fb[live[left & twice]] *= 0.5
+        fa[live[~left & twice]] *= 0.5
+        a[live[left]], fa[live[left]] = ts[left], fs[left]
+        b[live[~left]], fb[live[~left]] = ts[~left], fs[~left]
+        moved[live] = side
+        width = b[live] - a[live]
+        halved = width <= 0.5 * ref[live]
+        ref[live[halved]] = width[halved]
+        age[live] = np.where(halved, 0, age[live] + 1)
 
 
 def find_zeros(lid, t_max):
     """All ordinates gamma in (0, t_max] with L(1/2 + i*gamma) = 0, each
     certified by a sign change of the rotated real function and refined
-    by bisection to ZERO_PRECISION.  Every block of points sums only the
-    terms of its own height (`_l_grid`).  CapacityError above T_MAX_CAP, or
-    where t_max needs more than TERMS_CAP terms (first for q = 409, above
-    72 pi), before any point is evaluated."""
+    by safeguarded regula falsi (`_refine_zeros`) to a bracket at most
+    ZERO_PRECISION wide; the reported value is the secant point inside it.
+    Every block of points sums only the terms of its own height
+    (`_l_grid`).  CapacityError above T_MAX_CAP, or where t_max needs more
+    than TERMS_CAP terms (first for q = 409, above 72 pi), before any point
+    is evaluated."""
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite, got %r" % t_max)
     if t_max > T_MAX_CAP:
@@ -421,8 +449,8 @@ def find_zeros(lid, t_max):
     _terms(lid, t_max)  # CapacityError before any grid is built
 
     def scan(spans, step, depth):
-        """Sign-change brackets (a, b, f(a)) on the grids of this step over
-        the spans (a, b), all evaluated in one grid call.  The top-level
+        """Sign-change brackets (a, b, f(a), f(b)) on the grids of this step
+        over the spans (a, b), all evaluated in one grid call.  The top-level
         grid ends exactly at t_max: its steps are cut below t_max, which is
         then appended, so no point asks for more terms than t_max does."""
         grids = [np.arange(a, b + step / 2, step) for a, b in spans]
@@ -434,7 +462,7 @@ def find_zeros(lid, t_max):
             zs, values = values[:len(ts)], values[len(ts):]
             mag = np.abs(zs)
             sign_change = zs[:-1] * zs[1:] < 0
-            found += [(ts[i], ts[i + 1], zs[i])
+            found += [(ts[i], ts[i + 1], zs[i], zs[i + 1])
                       for i in np.flatnonzero(sign_change)]
             # a dip toward zero with no sign change on either side can hide
             # a close pair; a minimum beside a sign change is that zero's own
@@ -450,7 +478,7 @@ def find_zeros(lid, t_max):
     lo = min(SCAN_STEP, t_max / 8)
     brackets = scan([(lo, float(t_max))], SCAN_STEP, 0)
     # each zero has one bracket, so a repeat fails ZeroTable's ascending check
-    zeros = np.sort([round(z, 12) for z in _bisect_zeros(lid, brackets)])
+    zeros = np.sort([round(z, 12) for z in _refine_zeros(lid, brackets)])
     # rounding to 12 decimals can lift a zero within 5e-13 of t_max past it
     return ZeroTable(lid, zeros[zeros <= t_max])
 

@@ -116,7 +116,12 @@ def _race_chunks(limit, q, teams):
     carry = np.zeros(k, dtype=np.int64)
     for primes in sieve.iter_prime_blocks(limit):
         if len(primes):
-            yield primes, _running_counts(team_of[primes % q] == rows, carry)
+            # primes % q, by a floor division numpy does without a hardware
+            # divide: about half the time of the int64 remainder
+            r = primes // q
+            r *= q
+            np.subtract(primes, r, out=r)
+            yield primes, _running_counts(team_of[r] == rows, carry)
 
 
 def run_dense_race(limit, q, teams):

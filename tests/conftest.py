@@ -1,5 +1,6 @@
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,26 @@ from primeraces import sieve
 #: it runs only with PRIMERACES_SLOW=1
 slow = pytest.mark.skipif(os.environ.get("PRIMERACES_SLOW") != "1",
                           reason="slow; set PRIMERACES_SLOW=1")
+
+
+def mp_chi(q):
+    """The Legendre character mod an odd prime q as a list chi(0..q-1),
+    from the set of nonzero squares mod q."""
+    squares = {r * r % q for r in range(1, q)}
+    return [0] + [1 if r in squares else -1 for r in range(1, q)]
+
+
+def mp_rotated(q, t):
+    """e^(i theta) L(1/2 + it) for the character mod q, theta from mpmath's
+    log Gamma and the conductor: real on the critical line."""
+    d = q if q % 4 == 1 else -q
+    a = 0 if d > 0 else 1
+    t = mp.mpf(t)
+    theta = mp.im(mp.loggamma((mp.mpf(1) / 2 + a + 1j * t) / 2)) \
+        + t / 2 * mp.log(abs(d) / mp.pi)
+    value = mp.exp(1j * theta) * mp.dirichlet(mp.mpc(0.5, t), mp_chi(q))
+    assert abs(mp.im(value)) < 1e-15
+    return float(mp.re(value))
 
 
 def trial_division_primes(limit):

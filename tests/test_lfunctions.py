@@ -11,7 +11,7 @@ from primeraces import lfunctions as lf
 from primeraces.errors import CapacityError, DomainError, ParseError
 
 import published_tables as pub
-from conftest import slow
+from conftest import mp_chi, mp_rotated, slow
 
 mp.mp.dps = 30
 
@@ -26,28 +26,8 @@ def mp_beta4(s):
                               - mp.zeta(s, mp.mpf(3) / 4)))
 
 
-def mp_chi(q):
-    """The Legendre character mod an odd prime q as a list chi(0..q-1),
-    from the set of nonzero squares mod q."""
-    squares = {r * r % q for r in range(1, q)}
-    return [0] + [1 if r in squares else -1 for r in range(1, q)]
-
-
 def mp_quadratic(q, s):
     return complex(mp.dirichlet(mp.mpc(s), mp_chi(q)))
-
-
-def mp_rotated(q, t):
-    """e^(i theta) L(1/2 + it) for the character mod q, theta from mpmath's
-    log Gamma and the conductor: real on the critical line."""
-    d = q if q % 4 == 1 else -q
-    a = 0 if d > 0 else 1
-    t = mp.mpf(t)
-    theta = mp.im(mp.loggamma((mp.mpf(1) / 2 + a + 1j * t) / 2)) \
-        + t / 2 * mp.log(abs(d) / mp.pi)
-    value = mp.exp(1j * theta) * mp.dirichlet(mp.mpc(0.5, t), mp_chi(q))
-    assert abs(mp.im(value)) < 1e-15
-    return float(mp.re(value))
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +393,57 @@ def test_zero_just_below_t_max_is_found():
 
 
 def bracket_counts(monkeypatch):
-    """The number of brackets each later `_bisect_zeros` call gets."""
+    """The number of brackets each later `_refine_zeros` call gets."""
     sizes = []
-    bisect = lf._bisect_zeros
+    refine = lf._refine_zeros
 
     def spy(lid, brackets):
         sizes.append(len(brackets))
-        return bisect(lid, brackets)
+        return refine(lid, brackets)
 
-    monkeypatch.setattr(lf, "_bisect_zeros", spy)
+    monkeypatch.setattr(lf, "_refine_zeros", spy)
     return sizes
+
+
+def refinement_runs(monkeypatch):
+    """Per later `_refine_zeros` call: its brackets, the points and values
+    of each grid call it makes, and the ordinates it returns."""
+    runs = []
+    hardy, refine = lf._hardy_z_grid, lf._refine_zeros
+
+    def grid(lid, ts):
+        fs = hardy(lid, ts)
+        if runs and runs[-1]["out"] is None:
+            runs[-1]["steps"].append((ts, fs))
+        return fs
+
+    def spy(lid, brackets):
+        runs.append({"brackets": brackets, "steps": [], "out": None})
+        runs[-1]["out"] = refine(lid, brackets)
+        return runs[-1]["out"]
+
+    monkeypatch.setattr(lf, "_hardy_z_grid", grid)
+    monkeypatch.setattr(lf, "_refine_zeros", spy)
+    return runs
+
+
+def assert_certified(run):
+    """Each ordinate a refinement returns lies between two evaluated points
+    at most ZERO_PRECISION apart, on either side of its bracket's one sign
+    change, and the refinement took no more grid calls than
+    `_refine_zeros` promises: 4 ceil(log2(w / ZERO_PRECISION)) for the
+    widest bracket w."""
+    ts = np.concatenate([t for t, _ in run["steps"]])
+    fs = np.concatenate([f for _, f in run["steps"]])
+    for (a, b, fa, fb), g in zip(run["brackets"], run["out"]):
+        inside = (ts > a) & (ts < b)
+        points, values = np.r_[a, ts[inside], b], np.r_[fa, fs[inside], fb]
+        left = np.sign(values) == np.sign(fa)
+        lo, hi = points[left].max(), points[~left].min()
+        assert lo <= g <= hi and hi - lo <= lf.ZERO_PRECISION
+    widest = max(b - a for a, b, _, _ in run["brackets"])
+    assert len(run["steps"]) <= 4 * math.ceil(
+        math.log2(widest / lf.ZERO_PRECISION))
 
 
 def test_zero_past_t_max_on_the_last_grid_step_is_dropped(monkeypatch):
@@ -490,11 +511,37 @@ def test_each_zero_is_bracketed_once(monkeypatch):
     assert counts == sizes == [69, 107]
 
 
+@pytest.mark.parametrize("lid", [lf.ZETA, lf.BETA4])
+def test_refinement_takes_few_grid_calls(monkeypatch, lid):
+    # bisecting the scan's 0.05-wide brackets to 1e-9 took 26 grid calls
+    runs = refinement_runs(monkeypatch)
+    lf.find_zeros(lid, 180)
+    (run,) = runs
+    assert len(run["steps"]) <= 8
+    assert_certified(run)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: (t - math.pi) ** 3,
+    lambda t: np.sign(t - math.pi) * np.abs(t - math.pi) ** 8,
+    lambda t: np.tanh(1e6 * (t - math.pi)),
+], ids=["triple", "flat", "steep"])
+def test_refinement_closes_on_hard_roots(monkeypatch, f):
+    # regula falsi alone crawls on a multiple or flat root and on a step;
+    # the nudge and the fourth-step bisection still close each bracket
+    monkeypatch.setattr(lf, "_hardy_z_grid", lambda lid, ts: f(ts))
+    runs = refinement_runs(monkeypatch)
+    (g,) = lf.find_zeros(lf.ZETA, 10).ordinates
+    (run,) = runs
+    assert abs(g - math.pi) <= lf.ZERO_PRECISION
+    assert_certified(run)
+
+
 def test_zeta_zeros_to_500_are_all_269():
     tab = lf.find_zeros(lf.ZETA, 500)
     assert len(tab) == 269  # N(500)
     for k in (1, 100, 269):
-        assert abs(tab.ordinates[k - 1] - float(mp.zetazero(k).imag)) < 1e-8
+        assert abs(tab.ordinates[k - 1] - float(mp.zetazero(k).imag)) < 1e-11
 
 
 def test_zero_caps_and_unsupported(monkeypatch):
